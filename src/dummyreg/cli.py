@@ -16,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .dataset import (
-    CategoricalColumn,
-    Dataset,
-    categorical_column,
-    listwise_delete,
-    numeric_column,
-    read_csv,
-)
+from .dataset import listwise_delete, read_csv
 from .encode import (
     build_design,
     design_references,
@@ -227,35 +220,6 @@ def _cmd_predict(config: CliConfig) -> int:
 
 # --- selftest ---------------------------------------------------------
 
-def _random_one_factor(rng) -> Dataset:
-    k = int(rng.integers(2, 6))
-    counts = rng.integers(2, 7, size=k)
-    codes = np.repeat(np.arange(k), counts)
-    levels = tuple(f"g{i}" for i in range(k))
-    y = rng.normal(20.0, 3.0, size=codes.size)
-    return Dataset({
-        "g": CategoricalColumn(levels, codes),
-        "y": numeric_column(y),
-    })
-
-
-def _random_two_factor(rng) -> Dataset:
-    ka = int(rng.integers(2, 4))
-    kb = int(rng.integers(2, 4))
-    a_cells, b_cells, y = [], [], []
-    for i in range(ka):
-        for j in range(kb):
-            count = int(rng.integers(2, 5))
-            a_cells.extend([f"a{i}"] * count)
-            b_cells.extend([f"b{j}"] * count)
-            y.extend(rng.normal(10.0, 2.0, size=count))
-    return Dataset({
-        "a": categorical_column(a_cells),
-        "b": categorical_column(b_cells),
-        "y": numeric_column(y),
-    })
-
-
 def _check(name: str, ok: bool, detail: str = "") -> bool:
     if ok:
         print(f"ok: {name}")
@@ -282,7 +246,7 @@ def _cmd_selftest(config: CliConfig) -> int:
     ast = parse_formula("y ~ g")
     ok = True
     for _ in range(20):
-        data = _random_one_factor(rng)
+        data = oracle.random_one_factor(rng)
         fits = {s: fit(build_design(ast, data, s)) for s in SCHEME_CHOICES}
         base = fits["treatment"].fitted
         ok &= all(np.abs(f.fitted - base).max() < 1e-10 for f in fits.values())
@@ -296,7 +260,7 @@ def _cmd_selftest(config: CliConfig) -> int:
     ast2 = parse_formula("y ~ a*b")
     ok = True
     for _ in range(20):
-        data = _random_two_factor(rng)
+        data = oracle.random_two_factor(rng)
         result = fit(build_design(ast2, data))
         means = oracle.cell_means(data, ["a", "b"], "y")
         a_col, b_col = data["a"], data["b"]
@@ -347,16 +311,11 @@ def run(config: CliConfig) -> int:
         if config.subcommand == "selftest":
             return _cmd_selftest(config)
         raise UsageError(f"unknown subcommand {config.subcommand!r}")
-    except (IllegalCharacter, FormulaSyntaxError, UnknownFunction) as exc:
+    # Formula errors subclass DummyregError, so they must come first.
+    except (IllegalCharacter, FormulaSyntaxError, UnknownFunction, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DummyregError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DummyregError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -15,11 +15,12 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .dataset import CategoricalColumn, Dataset, NumericColumn
+from .dataset import _NUMBER_RE, CategoricalColumn, Column, Dataset, NumericColumn
 from .errors import (
     EncodingConflict,
     IncompleteProfile,
     InterceptRequired,
+    InvalidProfileValue,
     MissingValuesPresent,
     NonPositiveLog,
     NotCategorical,
@@ -29,7 +30,9 @@ from .errors import (
     UnknownVariable,
     ZeroCountLevel,
 )
-from .formula import SCHEMES, FormulaAst, Term, VarRef, format_ref, format_term
+from .formula import (
+    SCHEMES, FormulaAst, Term, VarRef, format_number, format_ref, format_term,
+)
 
 DEFAULT_SCHEME = "treatment"
 
@@ -120,11 +123,7 @@ def simple_labels(texts: Iterable[str]) -> tuple[ColumnLabel, ...]:
     return tuple(ColumnLabel(t, t, (t,), (t,)) for t in texts)
 
 
-def _numeric_level_name(value: float) -> str:
-    return str(int(value)) if float(value).is_integer() else repr(float(value))
-
-
-def _contrast_matrix(info: CategoricalInfo) -> np.ndarray:
+def _contrast_matrix(info: CategoricalInfo, stacklevel: int = 3) -> np.ndarray:
     """Per-level contrast rows, shape (k, k-1); row i encodes level i."""
     levels, counts, scheme = info.levels, info.counts, info.scheme
     if len(levels) < 2:
@@ -137,7 +136,7 @@ def _contrast_matrix(info: CategoricalInfo) -> np.ndarray:
                 raise ZeroCountLevel(level, scheme.kind)
             warnings.warn(
                 f"level {level!r} of {info.name!r} has no observations",
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
     omit = levels.index(scheme.omitted_level)
     kept = [i for i in range(len(levels)) if i != omit]
@@ -188,9 +187,9 @@ def _is_dummy_passthrough(ref: VarRef, values: np.ndarray) -> bool:
     return bool(np.isin(observed, (0.0, 1.0)).all())
 
 
-def _numeric_as_categorical(name: str, values: np.ndarray) -> CategoricalColumn:
+def _numeric_as_categorical(values: np.ndarray) -> CategoricalColumn:
     distinct = np.unique(values)
-    levels = tuple(_numeric_level_name(v) for v in distinct)
+    levels = tuple(format_number(v) for v in distinct)
     codes = np.searchsorted(distinct, values)
     return CategoricalColumn(levels, codes)
 
@@ -200,15 +199,18 @@ def _resolve_categoricals(
     data: Dataset,
     default_scheme: str,
     refs: Mapping[str, str],
-) -> dict[str, CategoricalInfo]:
+) -> tuple[dict[str, CategoricalInfo], dict[str, Column]]:
+    """Each categorical's encoding, plus every formula variable's column
+    as the encoder reads it, with ``cat()`` numerics converted."""
     by_var: dict[str, list[VarRef]] = {}
     for term in ast.terms:
         for ref in term.factors:
             by_var.setdefault(ref.name, []).append(ref)
 
     out: dict[str, CategoricalInfo] = {}
+    columns: dict[str, Column] = {}
     for name, occurrences in by_var.items():
-        column = data[name]
+        column = columns[name] = data[name]
         wants_cat = any(r.categorical for r in occurrences)
         is_cat = wants_cat or isinstance(column, CategoricalColumn)
         if not is_cat:
@@ -227,30 +229,27 @@ def _resolve_categoricals(
                 name, f"conflicting contrast schemes: {sorted(schemes)}"
             )
 
-        if isinstance(column, CategoricalColumn):
-            cat_col = column
-            from_numeric = False
-        else:
-            cat_col = _numeric_as_categorical(name, column.values)
-            from_numeric = True
+        from_numeric = not isinstance(column, CategoricalColumn)
+        if from_numeric:
+            column = columns[name] = _numeric_as_categorical(column.values)
 
         omitted = refs.get(name)
         if omitted is None and ref_levels:
             omitted = next(iter(ref_levels))
         if omitted is None:
-            omitted = cat_col.levels[0]
-        if omitted not in cat_col.levels:
+            omitted = column.levels[0]
+        if omitted not in column.levels:
             raise UnknownLevel(name, omitted)
 
         kind = next(iter(schemes)) if schemes else default_scheme
         out[name] = CategoricalInfo(
             name,
             ContrastScheme(kind, omitted),
-            cat_col.levels,
-            tuple(int(c) for c in cat_col.counts),
+            column.levels,
+            tuple(int(c) for c in column.counts),
             from_numeric=from_numeric,
         )
-    return out
+    return out, columns
 
 
 def _term_signature(term: Term, categoricals: Mapping[str, CategoricalInfo]):
@@ -264,24 +263,82 @@ def _term_signature(term: Term, categoricals: Mapping[str, CategoricalInfo]):
     return tuple(parts)
 
 
-def _factor_block(
-    ref: VarRef,
-    data: Dataset,
+def _encode(
+    ast: FormulaAst,
     categoricals: Mapping[str, CategoricalInfo],
-    contrast_rows: Mapping[str, np.ndarray],
-) -> tuple[np.ndarray, list[str], bool]:
-    """Encode one factor: (n x m block, per-column labels, dummy-like?)."""
-    if ref.name in categoricals:
-        info = categoricals[ref.name]
-        block = contrast_rows[ref.name]
-        texts = [f"{ref.name}[{lv}]" for lv in info.kept]
-        return block, texts, True
-    column = data[ref.name]
-    if not isinstance(column, NumericColumn):
-        raise NotCategorical(ref.name)  # unreachable by construction
-    values = apply_transform(column.values, ref)
-    dummy = _is_dummy_passthrough(ref, column.values)
-    return values[:, None], [format_ref(ref)], dummy
+    columns: Mapping[str, Column],
+    n: int,
+) -> tuple[np.ndarray, tuple[ColumnLabel, ...]]:
+    """Expand the distinct terms (intercept, mains, then interactions)
+    into the labeled n x p design block.
+
+    Each term folds its factors left to right, from 1.0, into a
+    (cells x cols) table plus a per-row cell index: a categorical takes
+    the Kronecker product with its contrast rows and index*k + code, so
+    an all-categorical term is computed per cell and gathered once. A
+    numeric factor, or a table about to outgrow n rows, first gathers
+    the table to rows; later factors then multiply in row by row.
+    """
+    contrasts = {}  # a loop: before 3.12 a comprehension shifts stacklevel
+    for name, info in categoricals.items():
+        contrasts[name] = _contrast_matrix(info, stacklevel=4)
+    terms = [Term()]
+    labels = [INTERCEPT_LABEL]
+    seen = {_term_signature(Term(), categoricals)}
+    mains = [t for t in ast.terms if t.kind == "main"]
+    interactions = [t for t in ast.terms if t.kind == "interaction"]
+    for term in mains + interactions:
+        signature = _term_signature(term, categoricals)
+        if signature in seen:
+            continue
+        seen.add(signature)
+        term_text = format_term(term)
+        cat_names = [r.name for r in term.factors if r.name in categoricals]
+        if len(cat_names) != len(set(cat_names)):
+            raise EncodingConflict(term_text, "a variable cannot interact with itself")
+        texts = [
+            [f"{r.name}[{lv}]" for lv in categoricals[r.name].kept]
+            if r.name in categoricals
+            else [format_ref(r)]
+            for r in term.factors
+        ]
+        variables = tuple(r.name for r in term.factors)
+        interaction = term.kind == "interaction"
+        labels += [
+            ColumnLabel("×".join(d), term_text, variables, d, interaction)
+            for d in product(*texts)
+        ]
+        terms.append(term)
+    texts_seen: set[str] = set()
+    for label in labels:
+        if label.text in texts_seen:
+            raise EncodingConflict(label.text, "duplicate design column label")
+        texts_seen.add(label.text)
+
+    out = np.empty((n, len(labels)))
+    start = 0
+    for term in terms:
+        table = np.ones((1, 1))
+        index: np.ndarray | None = np.zeros(n, dtype=np.intp)
+        for ref in term.factors:
+            column = columns[ref.name]
+            matrix = contrasts.get(ref.name)
+            if matrix is None:
+                rows = apply_transform(column.values, ref)[:, None]
+            elif index is not None and len(table) * len(matrix) <= n:
+                cells = table[:, None, :, None] * matrix[:, None, :]
+                table = cells.reshape(len(table) * len(matrix), -1)
+                index = index * len(matrix) + column.codes
+                continue
+            else:
+                rows = matrix[column.codes]
+            if index is not None:
+                table, index = table[index], None
+            table = (table[:, :, None] * rows[:, None, :]).reshape(n, -1)
+        stop = start + table.shape[1]
+        out[:, start:stop] = table if index is None else table[index]
+        start = stop
+    return out, tuple(labels)
 
 
 def build_design(
@@ -313,87 +370,26 @@ def build_design(
         if name not in data:
             raise UnknownVariable(name)
 
-    categoricals = _resolve_categoricals(ast, data, default_scheme, refs)
+    categoricals, columns = _resolve_categoricals(ast, data, default_scheme, refs)
     for name in refs:
         if name in ast.variables() and name not in categoricals:
             raise NotCategorical(name)
-
-    contrast_rows: dict[str, np.ndarray] = {}
-    for name, info in categoricals.items():
-        matrix = _contrast_matrix(info)
-        column = data[name]
-        if isinstance(column, CategoricalColumn):
-            codes = column.codes
-        else:
-            codes = _numeric_as_categorical(name, column.values).codes
-        contrast_rows[name] = matrix[codes]
-
-    n = data.n_rows
-    columns: list[np.ndarray] = [np.ones(n)]
-    labels: list[ColumnLabel] = [INTERCEPT_LABEL]
-    seen = {_term_signature(Term(), categoricals)}
-
-    mains = [t for t in ast.terms if t.kind == "main"]
-    interactions = [t for t in ast.terms if t.kind == "interaction"]
-    for term in mains + interactions:
-        signature = _term_signature(term, categoricals)
-        if signature in seen:
+    for term in ast.terms:
+        if term.kind != "interaction":
             continue
-        seen.add(signature)
-
-        cat_names = [r.name for r in term.factors if r.name in categoricals]
-        if len(cat_names) != len(set(cat_names)):
-            raise EncodingConflict(
-                format_term(term), "a variable cannot interact with itself"
-            )
-        blocks = []
-        texts = []
-        continuous = 0
-        for ref in term.factors:
-            block, block_texts, dummy = _factor_block(
-                ref, data, categoricals, contrast_rows
-            )
-            continuous += int(not dummy)
-            blocks.append(block)
-            texts.append(block_texts)
-        if term.kind == "interaction" and continuous > 1:
+        continuous = [
+            r for r in term.factors if r.name not in categoricals
+            and not _is_dummy_passthrough(r, columns[r.name].values)
+        ]
+        if len(continuous) > 1:
             raise EncodingConflict(
                 format_term(term),
                 "interactions of two continuous variables are not supported",
             )
 
-        term_text = format_term(term)
-        variables = tuple(r.name for r in term.factors)
-        for combo in product(*(range(b.shape[1]) for b in blocks)):
-            col = np.ones(n)
-            for block, j in zip(blocks, combo):
-                col = col * block[:, j]
-            details = tuple(texts[k][j] for k, j in enumerate(combo))
-            labels.append(
-                ColumnLabel(
-                    "×".join(details),
-                    term_text,
-                    variables,
-                    details,
-                    interaction=term.kind == "interaction",
-                )
-            )
-            columns.append(col)
-
-    texts_seen: set[str] = set()
-    for label in labels:
-        if label.text in texts_seen:
-            raise EncodingConflict(label.text, "duplicate design column label")
-        texts_seen.add(label.text)
-
+    values, labels = _encode(ast, categoricals, columns, data.n_rows)
     info = DesignInfo(ast, default_scheme, categoricals)
-    return DesignMatrix(
-        np.column_stack(columns),
-        tuple(labels),
-        response_col.values,
-        ast.response,
-        info,
-    )
+    return DesignMatrix(values, labels, response_col.values, ast.response, info)
 
 
 def variable_levels(context, name: str) -> tuple[str, ...]:
@@ -407,7 +403,7 @@ def variable_levels(context, name: str) -> tuple[str, ...]:
     column = data[name]
     if isinstance(column, CategoricalColumn):
         return column.levels
-    return _numeric_as_categorical(name, column.values).levels
+    return _numeric_as_categorical(column.values).levels
 
 
 def relevel(
@@ -439,13 +435,23 @@ def design_references(design: Union[DesignMatrix, DesignInfo]) -> dict[str, str]
 
 
 def _profile_level(info: CategoricalInfo, raw) -> str:
-    if isinstance(raw, str):
-        level = raw
-    else:
-        level = _numeric_level_name(float(raw))
+    """Level a profile value names; a number names its canonical level."""
+    level = raw
+    if not isinstance(raw, str) or (raw not in info.levels and _NUMBER_RE.match(raw)):
+        level = format_number(float(raw))
     if level not in info.levels:
         raise UnknownLevel(info.name, level)
     return level
+
+
+def _profile_number(name: str, raw) -> float:
+    """A finite profile value; strings must be numbers by the CSV rule."""
+    if isinstance(raw, str) and not _NUMBER_RE.match(raw):
+        raise InvalidProfileValue(name, raw)
+    value = float(raw)  # type: ignore[arg-type]
+    if not np.isfinite(value):
+        raise InvalidProfileValue(name, raw)
+    return value
 
 
 def profile_row(
@@ -464,31 +470,16 @@ def profile_row(
     if missing:
         raise IncompleteProfile(missing)
 
-    cells: list[float] = [1.0]
-    seen = {_term_signature(Term(), info.categoricals)}
-    ordered = [t for t in ast.terms if t.kind == "main"] + [
-        t for t in ast.terms if t.kind == "interaction"
-    ]
-    for term in ordered:
-        signature = _term_signature(term, info.categoricals)
-        if signature in seen:
-            continue
-        seen.add(signature)
-        blocks: list[np.ndarray] = []
-        for ref in term.factors:
-            if ref.name in info.categoricals:
-                ci = info.categoricals[ref.name]
-                level = _profile_level(ci, profile[ref.name])
-                row = _contrast_matrix(ci)[ci.levels.index(level)]
-            else:
-                value = float(profile[ref.name])  # type: ignore[arg-type]
-                if ref.log and value <= 0:
-                    raise NonPositiveLog(None)
-                row = apply_transform(np.array([value]), ref)
-            blocks.append(np.atleast_1d(row))
-        for combo in product(*(range(len(b)) for b in blocks)):
-            cell = 1.0
-            for block, j in zip(blocks, combo):
-                cell *= block[j]
-            cells.append(cell)
-    return np.array(cells)
+    columns: dict[str, Column] = {}
+    for name in ast.variables():
+        ci = info.categoricals.get(name)
+        if ci is None:
+            columns[name] = NumericColumn([_profile_number(name, profile[name])])
+        else:
+            code = ci.levels.index(_profile_level(ci, profile[name]))
+            columns[name] = CategoricalColumn(ci.levels, [code])
+    try:
+        values, _ = _encode(ast, info.categoricals, columns, 1)
+    except NonPositiveLog:
+        raise NonPositiveLog(None) from None
+    return values[0]

@@ -165,6 +165,15 @@ class UnknownLabel(DummyregError):
         super().__init__(f"no coefficient labelled {label!r}")
 
 
+class InvalidProfileValue(DummyregError):
+    def __init__(self, variable: str, value: object):
+        self.variable = variable
+        self.value = value
+        super().__init__(
+            f"profile value {value!r} for {variable!r} is not a finite number"
+        )
+
+
 class IncompleteProfile(DummyregError):
     def __init__(self, missing: tuple[str, ...]):
         self.missing = tuple(missing)

@@ -71,7 +71,11 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
-def _fmt_num(x: float) -> str:
+def format_number(x: float) -> str:
+    """Shortest exact spelling of a number; integers drop the ".0".
+
+    Also the canonical level name of a numeric value read as a category.
+    """
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
@@ -91,7 +95,8 @@ class ConstExpr:
         return math.log(self.base) if self.logged else self.base
 
     def __str__(self) -> str:
-        return f"log({_fmt_num(self.base)})" if self.logged else _fmt_num(self.base)
+        text = format_number(self.base)
+        return f"log({text})" if self.logged else text
 
 
 @dataclass(frozen=True)

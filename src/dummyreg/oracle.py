@@ -4,7 +4,9 @@ synthesize() builds datasets whose per-cell sample means hit prescribed
 values exactly, so coefficient algebra can be checked without any real
 survey data. cell_means() is the direct groupby-mean computation, and
 t_cdf_quadrature() integrates the t density numerically as an oracle
-for the closed-form CDF in the solve module.
+for the closed-form CDF in the solve module. random_one_factor() and
+random_two_factor() draw the random datasets that the test suite and
+``dummyreg selftest`` both check.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import IO, Sequence, Union
 
-from scipy.integrate import quad
+import numpy as np
 
 from .dataset import (
     CategoricalColumn,
@@ -24,6 +26,7 @@ from .dataset import (
 )
 from .dataset import _NUMBER_RE  # shared numeric-literal rule
 from .errors import UnknownVariable
+from .formula import format_number
 
 
 @dataclass(frozen=True)
@@ -131,8 +134,37 @@ def synthesize(spec: CellMeanSpec, spread: float = 1.0) -> Dataset:
     return Dataset(columns)
 
 
-def _level_name(value: float) -> str:
-    return str(int(value)) if float(value).is_integer() else repr(float(value))
+def random_one_factor(rng) -> Dataset:
+    """One categorical predictor with unequal group sizes plus response."""
+    k = int(rng.integers(2, 6))
+    counts = rng.integers(2, 9, size=k)
+    if len(set(counts.tolist())) == 1:
+        counts[0] += 1
+    codes = np.repeat(np.arange(k), counts)
+    levels = tuple(f"g{i}" for i in range(k))
+    y = rng.normal(20.0, 3.0, size=int(counts.sum()))
+    return Dataset({
+        "g": CategoricalColumn(levels, codes),
+        "y": numeric_column(y),
+    })
+
+
+def random_two_factor(rng) -> Dataset:
+    """Full two-way grid, every cell populated with >= 2 rows."""
+    ka = int(rng.integers(2, 4))
+    kb = int(rng.integers(2, 4))
+    a_cells, b_cells, y = [], [], []
+    for i in range(ka):
+        for j in range(kb):
+            count = int(rng.integers(2, 5))
+            a_cells.extend([f"a{i}"] * count)
+            b_cells.extend([f"b{j}"] * count)
+            y.extend(rng.normal(10.0, 2.0, size=count).tolist())
+    return Dataset({
+        "a": categorical_column(a_cells),
+        "b": categorical_column(b_cells),
+        "y": numeric_column(y),
+    })
 
 
 def cell_means(
@@ -151,7 +183,7 @@ def cell_means(
             if isinstance(column, CategoricalColumn):
                 key.append(column.levels[column.codes[i]])
             else:
-                key.append(_level_name(column.values[i]))
+                key.append(format_number(column.values[i]))
         keys.append(tuple(key))
 
     sums: dict[tuple[str, ...], float] = {}
@@ -166,8 +198,11 @@ def t_cdf_quadrature(t: float, df: int) -> float:
     """Student-t CDF by adaptive quadrature of the density.
 
     Deliberately a separate computation path from the incomplete-beta
-    CDF so the two can cross-check each other.
+    CDF so the two can cross-check each other. scipy.integrate is
+    imported here, not at module load, to keep ``import dummyreg`` fast.
     """
+    from scipy.integrate import quad
+
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
     t = float(t)

@@ -181,6 +181,29 @@ class TestPredict:
         )
         assert code == 3 and "edu" in err
 
+    def test_numeric_text_names_the_canonical_level(self, capsys, crossed_csv):
+        outs = []
+        for female in ("1", "1.0", "1e0"):
+            code, out, err = run_cli(
+                capsys, "predict", "--data", crossed_csv,
+                "--formula", "bmi ~ cat(female) * edu",
+                "--at", f"female={female}", "--at", "edu=high",
+            )
+            assert code == 0 and err == ""
+            outs.append(out)
+        assert outs == ["23.87\n"] * 3
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "1_0"])
+    def test_non_number_is_data_error(self, capsys, crossed_csv, value):
+        code, out, err = run_cli(
+            capsys, "predict", "--data", crossed_csv,
+            "--formula", "bmi ~ female * edu",
+            "--at", f"female={value}", "--at", "edu=high",
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(value) in err and "'female'" in err
+
     def test_at_variable_not_in_formula(self, capsys, crossed_csv):
         code, _, err = run_cli(
             capsys, "predict", "--data", crossed_csv,

@@ -1,11 +1,15 @@
 """Contrast coding, transforms, design assembly, releveling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dummyreg import (
+    CategoricalColumn,
     ContrastScheme,
     Dataset,
     VarRef,
@@ -33,7 +37,7 @@ from dummyreg.errors import (
     UnknownVariable,
     ZeroCountLevel,
 )
-from dummyreg.formula import ConstExpr
+from dummyreg.formula import ConstExpr, format_number, format_ref
 
 
 def edu_column(n_low=1, n_middle=1, n_high=1):
@@ -256,6 +260,14 @@ class TestBuildDesign:
         with pytest.raises(EncodingConflict):
             build_design(parse_formula("y ~ a:b"), data)
 
+    def test_continuous_pair_reported_before_encoding_errors(self):
+        # The data-dependent check runs before any term is encoded, so it
+        # wins over a single-level factor or a log of a non-positive value.
+        data = read_csv_text("y,g,a,b\n1,p,-2,3\n4,p,5,6\n7,p,8,9\n")
+        for formula in ("y ~ g + a:b", "y ~ log(a):b"):
+            with pytest.raises(EncodingConflict, match="two continuous"):
+                build_design(parse_formula(formula), data)
+
     def test_continuous_by_dummy_allowed(self):
         data = read_csv_text("y,age,female\n1,20,0\n2,30,1\n3,40,0\n4,50,1\n")
         design = build_design(parse_formula("y ~ age + female + age:female"), data)
@@ -352,3 +364,97 @@ class TestProfileRow:
         design = build_design(parse_formula("bmi ~ female * edu"), data)
         with pytest.raises(UnknownLevel):
             profile_row(design, {"female": 1, "edu": "phd"})
+
+
+# --- properties of the encoder ---------------------------------------
+
+# Factors a property formula draws from: two categoricals, a cat() of a
+# numeric column, a 0/1 pass-through, and a centred log.
+AGE = "center(log(x), at=log(18))"
+FACTORS = ("a", "b", "cat(k)", "d", AGE)
+
+
+@st.composite
+def encoder_cases(draw):
+    n = draw(st.integers(8, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def codes(k):
+        # every level observed, so weighted coding is always defined
+        return np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+
+    data = Dataset({
+        "y": numeric_column(rng.normal(size=n)),
+        "a": CategoricalColumn(("lo", "mid", "hi"), codes(3)),
+        "b": CategoricalColumn(("u", "v"), codes(2)),
+        "k": numeric_column(np.array([0.0, 1.5, 3.0])[codes(3)]),
+        "d": numeric_column(codes(2).astype(float)),
+        "x": numeric_column(rng.uniform(0.5, 80.0, n)),
+    })
+    mains = draw(st.lists(st.sampled_from(FACTORS), unique=True))
+    crossed = draw(st.permutations(FACTORS))[: draw(st.integers(2, 4))]
+    formula = "y ~ " + " + ".join(mains + [":".join(crossed)])
+    scheme = draw(st.sampled_from(("treatment", "effect", "weighted")))
+    return data, parse_formula(formula), scheme, draw(st.booleans())
+
+
+def factor_column(design, data, refs_by_text, variable, detail):
+    """One factor's column, encoded without the design's term expansion."""
+    ci = design.info.categoricals.get(variable)
+    if ci is None:
+        return apply_transform(data[variable].values, refs_by_text[detail])
+    column = data[variable]
+    if not isinstance(column, CategoricalColumn):
+        names = [format_number(v) for v in column.values]
+        column = categorical_column(names, ci.levels, pinned=True)
+    block, kept = encode_categorical(column, ci.scheme, variable)
+    return block[:, kept.index(detail[len(variable) + 1:-1])]
+
+
+class TestEncoderProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(encoder_cases())
+    def test_columns_are_left_to_right_factor_products(self, case):
+        data, ast, scheme, _ = case
+        design = build_design(ast, data, scheme)
+        refs_by_text = {format_ref(r): r for t in ast.terms for r in t.factors}
+        for j, label in enumerate(design.labels):
+            expected = np.ones(data.n_rows)
+            for variable, detail in zip(label.variables, label.details):
+                expected = expected * factor_column(
+                    design, data, refs_by_text, variable, detail)
+            assert np.array_equal(design.values[:, j], expected), label.text
+
+    @settings(max_examples=60, deadline=None)
+    @given(encoder_cases())
+    def test_profile_row_reproduces_every_design_row(self, case):
+        data, ast, scheme, as_text = case
+        design = build_design(ast, data, scheme)
+        for i in range(data.n_rows):
+            profile = {}
+            for name in ast.variables():
+                column = data[name]
+                if isinstance(column, CategoricalColumn):
+                    profile[name] = column.levels[column.codes[i]]
+                else:
+                    value = float(column.values[i])
+                    profile[name] = repr(value) if as_text else value
+            assert np.array_equal(profile_row(design, profile),
+                                  design.values[i]), (i, profile)
+
+    @pytest.mark.parametrize("scheme", ["treatment", "effect"])
+    def test_zero_count_level_warns_once_per_variable(self, scheme):
+        a = categorical_column(["p", "q", "p", "q", "p", "q"], ("p", "q", "r"),
+                               pinned=True)
+        data = Dataset({"y": numeric_column(range(6)), "a": a,
+                        "b": categorical_column(["s", "s", "t", "t", "s", "t"])})
+        with warnings.catch_warnings(record=True) as built:
+            warnings.simplefilter("always")
+            design = build_design(parse_formula("y ~ a*b"), data, scheme)
+        with warnings.catch_warnings(record=True) as profiled:
+            warnings.simplefilter("always")
+            profile_row(design, {"a": "q", "b": "t"})
+        for caught in (built, profiled):
+            assert [str(w.message) for w in caught] == [
+                "level 'r' of 'a' has no observations"]
+            assert caught[0].filename == __file__

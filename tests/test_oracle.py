@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dummyreg
 from dummyreg import (
     Cell,
     CellMeanSpec,
@@ -124,3 +129,15 @@ class TestValidation:
     def test_response_name_collision(self):
         with pytest.raises(ValueError):
             CellMeanSpec({"g": ("a",)}, {("a",): Cell(5.0, 2)}, response="g")
+
+
+class TestImport:
+    def test_package_import_leaves_quadrature_unloaded(self):
+        # scipy.integrate costs most of the import time and only the
+        # quadrature oracle needs it, so it is imported on first use.
+        src = str(Path(dummyreg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, dummyreg; print('scipy.integrate' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"

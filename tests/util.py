@@ -5,19 +5,17 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from dummyreg import (
     CategoricalColumn,
     Dataset,
     build_design,
-    categorical_column,
     cell_means,
-    numeric_column,
     parse_formula,
     spec_from_json,
     synthesize,
 )
+from dummyreg.formula import format_number
+from dummyreg.oracle import random_one_factor, random_two_factor  # noqa: F401
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -28,39 +26,6 @@ def load_spec(name: str):
 
 def load_json(name: str) -> dict:
     return json.loads((DATA_DIR / name).read_text())
-
-
-def random_one_factor(rng, k_range=(2, 6), count_range=(2, 9)) -> Dataset:
-    """One categorical predictor with unequal group sizes plus response."""
-    k = int(rng.integers(*k_range))
-    counts = rng.integers(count_range[0], count_range[1], size=k)
-    if len(set(counts.tolist())) == 1:
-        counts[0] += 1
-    codes = np.repeat(np.arange(k), counts)
-    levels = tuple(f"g{i}" for i in range(k))
-    y = rng.normal(20.0, 3.0, size=int(counts.sum()))
-    return Dataset({
-        "g": CategoricalColumn(levels, codes),
-        "y": numeric_column(y),
-    })
-
-
-def random_two_factor(rng, k_range=(2, 4)) -> Dataset:
-    """Full two-way grid, every cell populated with >= 2 rows."""
-    ka = int(rng.integers(*k_range))
-    kb = int(rng.integers(*k_range))
-    a_cells, b_cells, y = [], [], []
-    for i in range(ka):
-        for j in range(kb):
-            count = int(rng.integers(2, 5))
-            a_cells.extend([f"a{i}"] * count)
-            b_cells.extend([f"b{j}"] * count)
-            y.extend(rng.normal(10.0, 2.0, size=count).tolist())
-    return Dataset({
-        "a": categorical_column(a_cells),
-        "b": categorical_column(b_cells),
-        "y": numeric_column(y),
-    })
 
 
 def interaction_design(spread: float = 0.3):
@@ -82,8 +47,7 @@ def row_cell_key(data: Dataset, factors, i: int) -> tuple[str, ...]:
         if isinstance(column, CategoricalColumn):
             key.append(column.levels[column.codes[i]])
         else:
-            value = float(column.values[i])
-            key.append(str(int(value)) if value.is_integer() else repr(value))
+            key.append(format_number(column.values[i]))
     return tuple(key)
 
 
