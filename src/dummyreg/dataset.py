@@ -259,13 +259,13 @@ def listwise_delete(data: Dataset, variables: Iterable[str]) -> Dataset:
             if col.pinned:
                 columns[name] = CategoricalColumn(col.levels, codes, pinned=True)
             else:
-                present = [i for i in range(len(col.levels)) if (codes == i).any()]
-                remap = {old: new for new, old in enumerate(present)}
-                new_codes = np.array(
-                    [remap[c] if c >= 0 else -1 for c in codes], dtype=np.int64
-                )
+                k = len(col.levels)
+                present = np.flatnonzero(np.bincount(codes[codes >= 0], minlength=k))
+                # One slot past the levels maps the missing code -1 to -1.
+                remap = np.full(k + 1, -1, dtype=np.int64)
+                remap[present] = np.arange(present.size)
                 new_levels = tuple(col.levels[i] for i in present)
-                columns[name] = CategoricalColumn(new_levels, new_codes)
+                columns[name] = CategoricalColumn(new_levels, remap[codes])
     return Dataset(columns)
 
 

@@ -3,13 +3,17 @@
 A parsed formula plus a dataset become a labeled numeric matrix. Each
 categorical variable contributes k-1 contrast columns per the scheme in
 force; numeric variables pass through transforms; interaction terms are
-elementwise products of their constituents' column blocks.
+elementwise products of their constituents' column blocks. A design
+whose variables are all categorical is stored as one row per occupied
+cell plus each row's cell.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Union
 
@@ -88,34 +92,67 @@ class DesignInfo:
     categoricals: dict[str, CategoricalInfo] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DesignMatrix:
-    values: np.ndarray  # n x p, float64
+    """The n x p design as a table of rows plus an index into it.
+
+    ``cell_table`` holds one row per occupied cell and ``cell_index``
+    maps each of the n data rows to its table row. A row-level design
+    has no index: its table is the n x p matrix itself. ``values`` is
+    the n x p matrix either way; a cell design gathers it on first
+    access and keeps it.
+    """
+
     labels: tuple[ColumnLabel, ...]
     response: np.ndarray  # n floats
-    response_name: str = "y"
-    info: DesignInfo | None = None
+    response_name: str
+    info: DesignInfo | None
+    cell_table: np.ndarray  # m x p, float64
+    cell_index: np.ndarray | None  # n table rows, or None when m = n
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        response = np.asarray(self.response, dtype=np.float64)
-        values.flags.writeable = False
+    def __init__(self, values, labels, response, response_name="y", info=None,
+                 *, cell_index=None):
+        """``values`` is the n x p matrix, or with ``cell_index`` the
+        m x p table that the index gathers rows from."""
+        table = np.asarray(values, dtype=np.float64)
+        response = np.asarray(response, dtype=np.float64)
+        table.flags.writeable = False
         response.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "response", response)
-        if values.ndim != 2 or values.shape[1] != len(self.labels):
+        labels = tuple(labels)
+        if table.ndim != 2 or table.shape[1] != len(labels):
             raise ValueError("values shape does not match label count")
-        if response.shape != (values.shape[0],):
+        n = table.shape[0]
+        if cell_index is not None:
+            cell_index = np.asarray(cell_index, dtype=np.intp)
+            cell_index.flags.writeable = False
+            if cell_index.ndim != 1 or (
+                cell_index.size and not 0 <= cell_index.min() <= cell_index.max() < n
+            ):
+                raise ValueError("cell index out of range for the table")
+            n = cell_index.size
+        if response.shape != (n,):
             raise ValueError("response length does not match row count")
+        for name, value in (("labels", labels), ("response", response),
+                            ("response_name", response_name), ("info", info),
+                            ("cell_table", table), ("cell_index", cell_index)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The n x p design matrix, read-only."""
+        if self.cell_index is None:
+            return self.cell_table
+        values = self.cell_table[self.cell_index]
+        values.flags.writeable = False
+        return values
 
     @property
     def n_rows(self) -> int:
-        return self.values.shape[0]
+        return self.response.shape[0]
 
     @property
     def n_cols(self) -> int:
-        return self.values.shape[1]
+        return len(self.labels)
 
 
 def simple_labels(texts: Iterable[str]) -> tuple[ColumnLabel, ...]:
@@ -341,6 +378,41 @@ def _encode(
     return out, tuple(labels)
 
 
+def _occupied_cells(
+    ast: FormulaAst,
+    categoricals: Mapping[str, CategoricalInfo],
+    columns: Mapping[str, Column],
+    n: int,
+) -> tuple[Mapping[str, Column], np.ndarray | None, int]:
+    """The rows to encode: one per occupied cell when every formula
+    variable is categorical, else all n.
+
+    A row's cell is the mixed-radix code of its level codes, compacted
+    to the m occupied codes in ascending order. Returns the columns to
+    encode (each cell's level codes), the n-row cell index and m; a
+    row-level design, or a crossing with more cells than rows, returns
+    the columns as given, no index and n.
+    """
+    names = ast.variables()
+    sizes = [len(categoricals[name].levels) for name in names
+             if name in categoricals]
+    crossing = math.prod(sizes)
+    if len(sizes) < len(names) or crossing > n:
+        return columns, None, n
+    code = np.zeros(n, dtype=np.intp)
+    for name, k in zip(names, sizes):
+        code = code * k + columns[name].codes
+    occupied = np.flatnonzero(np.bincount(code, minlength=crossing))
+    lookup = np.empty(crossing, dtype=np.intp)
+    lookup[occupied] = np.arange(occupied.size)
+    cell_columns: dict[str, Column] = {}
+    remaining = occupied
+    for name, k in reversed(list(zip(names, sizes))):
+        cell_columns[name] = CategoricalColumn(columns[name].levels, remaining % k)
+        remaining = remaining // k
+    return cell_columns, lookup[code], occupied.size
+
+
 def build_design(
     ast: FormulaAst,
     data: Dataset,
@@ -387,9 +459,11 @@ def build_design(
                 "interactions of two continuous variables are not supported",
             )
 
-    values, labels = _encode(ast, categoricals, columns, data.n_rows)
+    columns, cell, rows = _occupied_cells(ast, categoricals, columns, data.n_rows)
+    table, labels = _encode(ast, categoricals, columns, rows)
     info = DesignInfo(ast, default_scheme, categoricals)
-    return DesignMatrix(values, labels, response_col.values, ast.response, info)
+    return DesignMatrix(table, labels, response_col.values, ast.response, info,
+                        cell_index=cell)
 
 
 def variable_levels(context, name: str) -> tuple[str, ...]:

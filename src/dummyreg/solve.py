@@ -2,8 +2,8 @@
 
 Estimation goes through a pivoted QR factorization, never an explicit
 normal-equations inverse. Exact collinearity (the dummy variable trap)
-is a hard error naming the dependent columns. P-values come from a
-self-contained Student-t CDF built on the regularized incomplete beta
+is a hard error naming the dependent columns. P-values come from the
+Student-t tail, built on a self-contained regularized incomplete beta
 function; an independent quadrature oracle lives in the oracle module.
 """
 
@@ -65,29 +65,45 @@ class FitResult:
 
 
 def fit(design: DesignMatrix) -> FitResult:
-    """Least-squares fit of the design's response on its columns."""
-    x = design.values
+    """Least-squares fit of the design's response on its columns.
+
+    A design that keeps one table row per occupied cell is solved from
+    per-cell sufficient statistics: the rows of ``sqrt(count) * table``
+    against ``sqrt(count) * cell mean`` have the same normal equations
+    as the n x p problem. A row-level design is factored as it stands.
+    """
+    table, cell = design.cell_table, design.cell_index
     y = design.response
-    n, p = x.shape
+    n, p = design.n_rows, design.n_cols
     if n <= p:
         raise TooFewRows(n, p)
 
-    q, r, piv = qr(x, mode="economic", pivoting=True)
+    if cell is None:
+        a, b = table, y
+    else:
+        counts = np.bincount(cell, minlength=len(table))
+        root = np.sqrt(counts)
+        a = table * root[:, None]
+        b = root * (np.bincount(cell, weights=y, minlength=len(table)) / counts)
+    q, r, piv = qr(a, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     scale = diag.max() if diag.size else 0.0
-    if scale == 0.0:
-        dependent = np.ones(p, dtype=bool)
-    else:
-        dependent = diag < RANK_TOL * scale
+    # With fewer cells than columns, every pivot past the last cell is
+    # dependent.
+    dependent = np.ones(p, dtype=bool)
+    if scale > 0.0:
+        dependent[:diag.size] = diag < RANK_TOL * scale
     if dependent.any():
         names = [design.labels[piv[j]].text for j in np.flatnonzero(dependent)]
         raise RankDeficient(names)
 
-    pivoted = solve_triangular(r, q.T @ y)
+    pivoted = solve_triangular(r, q.T @ b)
     coefficients = np.empty(p)
     coefficients[piv] = pivoted
 
-    fitted = x @ coefficients
+    fitted = table @ coefficients
+    if cell is not None:
+        fitted = fitted[cell]
     residuals = y - fitted
     rss = float(residuals @ residuals)
     df = n - p
@@ -105,7 +121,7 @@ def fit(design: DesignMatrix) -> FitResult:
             t_values[i] = coefficients[i] / stderr[i]
         elif coefficients[i] != 0:
             t_values[i] = math.copysign(math.inf, coefficients[i])
-    p_two = np.array([2.0 * (1.0 - student_t_cdf(abs(t), df)) for t in t_values])
+    p_two = np.array([two_tailed_p(t, df) for t in t_values])
 
     tss = float(((y - y.mean()) ** 2).sum())
     r_squared = 0.0 if tss == 0 else min(max(1.0 - rss / tss, 0.0), 1.0)
@@ -170,23 +186,54 @@ def _betacf(a: float, b: float, x: float) -> float:
     raise ArithmeticError("incomplete beta continued fraction did not converge")
 
 
-def _betai(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
+def _lgamma_ratio(a: float, b: float) -> float:
+    """lgamma(a + b) - lgamma(a), without cancellation at large a.
+
+    Past a = 100 the two Stirling series are subtracted term by term;
+    the remainder of the three-term correction is below 1e-17 there.
+    """
+    if a < 100.0:
+        return math.lgamma(a + b) - math.lgamma(a)
+
+    def correction(z: float) -> float:
+        return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * z * z)) / (z * z)) / z
+
+    return ((a - 0.5) * math.log1p(b / a) + b * math.log(a + b) - b
+            + correction(a + b) - correction(a))
+
+
+def _betai(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b), given x and y = 1 - x.
+
+    The caller passes y so that it keeps its relative precision when x
+    rounds to 1.
+    """
     if x <= 0.0:
         return 0.0
-    if x >= 1.0:
+    if y <= 0.0:
         return 1.0
     ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
+        _lgamma_ratio(a, b)
         - math.lgamma(b)
         + a * math.log(x)
-        + b * math.log1p(-x)
+        + b * math.log(y)
     )
     front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+    return 1.0 - front * _betacf(b, a, y) / b
+
+
+def two_tailed_p(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with df degrees of freedom.
+
+    Computed as the tail itself, I_x(df/2, 1/2) with x = df/(df + t^2),
+    never as 1 - cdf, so a small p keeps its relative precision.
+    """
+    t2 = float(t) * float(t)
+    if t2 == 0.0:
+        return 1.0
+    return _betai(0.5 * df, 0.5, df / (df + t2), 1.0 / (1.0 + df / t2))
 
 
 def student_t_cdf(t: float, df: int) -> float:
@@ -200,8 +247,7 @@ def student_t_cdf(t: float, df: int) -> float:
     t = float(t)
     if t == 0.0:
         return 0.5
-    x = df / (df + t * t)
-    tail = 0.5 * _betai(0.5 * df, 0.5, x)
+    tail = 0.5 * two_tailed_p(t, df)
     return 1.0 - tail if t > 0 else tail
 
 
@@ -240,7 +286,7 @@ def linear_combination(
         t_value = 0.0 if estimate == 0.0 else math.copysign(math.inf, estimate)
     else:
         t_value = estimate / stderr
-    p_two = 2.0 * (1.0 - student_t_cdf(abs(t_value), fit_result.df_residual))
+    p_two = two_tailed_p(t_value, fit_result.df_residual)
     return LinearCombination(estimate, stderr, t_value, p_two)
 
 

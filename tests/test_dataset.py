@@ -4,10 +4,13 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dummyreg import (
     CategoricalColumn,
     ColumnSchema,
+    Dataset,
     NumericColumn,
     Schema,
     categorical_column,
@@ -173,6 +176,42 @@ class TestListwiseDelete:
         kept = listwise_delete(data, ["x"])
         assert levels(kept, "g") == ("a", "b", "c")
         assert kept["g"].counts.tolist() == [1, 0, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(lambda k: st.tuples(
+            st.just(k),
+            st.lists(st.integers(min_value=-1, max_value=k - 1), min_size=1,
+                     max_size=40),
+            st.lists(st.booleans(), min_size=40, max_size=40),
+            st.booleans(),
+        ))
+    )
+    def test_remap_matches_per_row_reference(self, case):
+        k, codes, drop, pinned = case
+        levels_in = tuple(f"L{i}" for i in range(k))
+        x = [np.nan if d else 1.0 for d in drop[:len(codes)]]
+        data = Dataset({"x": NumericColumn(x),
+                        "g": CategoricalColumn(levels_in, codes, pinned)})
+        keep = ~np.isnan(np.asarray(x))
+        if not keep.any():
+            return
+        kept = listwise_delete(data, ["x"])
+        if keep.all():
+            assert kept is data
+            return
+        # The per-row remap that listwise_delete used to run.
+        kept_codes = np.asarray(codes)[keep]
+        if pinned:
+            want_levels, want_codes = levels_in, kept_codes.tolist()
+        else:
+            present = [i for i in range(k) if (kept_codes == i).any()]
+            remap = {old: new for new, old in enumerate(present)}
+            want_levels = tuple(levels_in[i] for i in present)
+            want_codes = [remap[c] if c >= 0 else -1 for c in kept_codes]
+        assert kept["g"].levels == want_levels
+        assert kept["g"].codes.tolist() == want_codes
+        assert kept["g"].pinned == pinned
 
 
 class TestColumnFactories:

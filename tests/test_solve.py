@@ -1,11 +1,21 @@
 """OLS estimation, rank detection, and inference helpers."""
 
+import itertools
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from dummyreg import (
+    CategoricalColumn,
     Dataset,
     DesignMatrix,
+    NumericColumn,
     build_design,
     categorical_column,
     fit,
@@ -16,6 +26,9 @@ from dummyreg import (
     predict_mean,
     simple_labels,
 )
+from dummyreg.encode import variable_levels
+from dummyreg.formula import SCHEMES
+from dummyreg.solve import two_tailed_p
 from dummyreg.errors import (
     DimensionMismatch,
     RankDeficient,
@@ -114,6 +127,184 @@ class TestFit:
                 assert abs(other.rss - base.rss) < 1e-10
                 assert abs(other.sigma2 - base.sigma2) < 1e-10
                 assert abs(other.r_squared - base.r_squared) < 1e-10
+
+
+class TestCellPath:
+    """All-categorical designs are solved from per-cell counts and means."""
+
+    @staticmethod
+    def row_level(design):
+        return DesignMatrix(design.values, design.labels, design.response)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(min_value=2, max_value=4), st.booleans()),
+                 min_size=1, max_size=3),
+        st.sampled_from(SCHEMES),
+        st.booleans(),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_row_level_fit(self, factors, scheme, crossed, complete, seed):
+        rng = np.random.default_rng(seed)
+        names = ["a", "b", "c"][:len(factors)]
+        sizes = [k for k, _ in factors]
+        cells = math.prod(sizes)
+        # Every level occurs; a complete sample also holds every crossing.
+        base = ([list(combo) for combo in itertools.product(*map(range, sizes))]
+                if complete else [[i % k for k in sizes] for i in range(max(sizes))])
+        extra = rng.integers(0, sizes, size=(int(rng.integers(1, 40)), len(sizes)))
+        codes = np.vstack([np.array(base), extra])
+        n = len(codes)
+        columns = {"y": NumericColumn(rng.normal(20.0, 3.0, n))}
+        terms = []
+        for j, (name, (k, from_numeric)) in enumerate(zip(names, factors)):
+            if from_numeric:
+                level_values = rng.permutation([0.0, 1.0, 2.5, -3.0])[:k]
+                columns[name] = NumericColumn(level_values[codes[:, j]])
+                terms.append(f"cat({name})")
+            else:
+                text = [f"L{c}" for c in rng.permutation(k)]
+                columns[name] = categorical_column([text[c] for c in codes[:, j]])
+                terms.append(name)
+        data = Dataset(columns)
+        formula = "y ~ " + ("*" if crossed else " + ").join(terms)
+        refs = {name: str(rng.choice(variable_levels(data, name)))
+                for name in names if rng.random() < 0.5}
+
+        design = build_design(parse_formula(formula), data, scheme, refs)
+        assert (design.cell_index is not None) == (cells <= n)
+        try:
+            expected = fit(self.row_level(design))
+        except (RankDeficient, TooFewRows) as exc:
+            with pytest.raises(type(exc)):
+                fit(design)
+            return
+        got = fit(design)
+
+        def close(a, b):
+            a, b = np.atleast_1d(a), np.atleast_1d(b)
+            return np.abs(a - b).max() <= 1e-10 * max(np.abs(b).max(), 1e-300)
+
+        assert close(got.coefficients, expected.coefficients)
+        assert close(got.stderr, expected.stderr)
+        assert close(got.rss, expected.rss)
+        assert close(got.fitted, expected.fitted)
+        assert abs(got.r_squared - expected.r_squared) <= 1e-10
+        assert got.df_residual == expected.df_residual
+
+    def test_peak_memory_below_quarter_of_dense_design(self):
+        n = 200_000
+        rng = np.random.default_rng(11)
+        data = Dataset({
+            "y": NumericColumn(rng.normal(50.0, 5.0, n)),
+            "a": CategoricalColumn(tuple("abcde"), rng.integers(0, 5, n)),
+            "b": CategoricalColumn(tuple("pqrs"), rng.integers(0, 4, n)),
+            "c": CategoricalColumn(tuple("xyz"), rng.integers(0, 3, n)),
+        })
+        ast = parse_formula("y ~ a*b*c")
+        tracemalloc.start()
+        try:
+            design = build_design(ast, data)
+            result = fit(design)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense = n * design.n_cols * 8
+        assert design.n_cols == 60 and result.fitted.shape == (n,)
+        assert peak < dense / 4, (peak, dense)
+
+    def test_fewer_cells_than_columns(self):
+        # Three occupied cells of a 3x3 crossing, p = 5: the two pivots
+        # past the third diagonal entry are dependent.
+        a = ["p", "q", "r"] * 10
+        data = Dataset({"y": numeric_column(np.arange(30.0) % 7),
+                        "a": categorical_column(a),
+                        "b": categorical_column([{"p": "s", "q": "t", "r": "u"}[v]
+                                                 for v in a])})
+        design = build_design(parse_formula("y ~ a + b"), data)
+        assert len(design.cell_table) == 3 < design.n_cols
+        texts = {label.text for label in design.labels}
+        for candidate in (design, self.row_level(design)):
+            with pytest.raises(RankDeficient) as exc:
+                fit(candidate)
+            assert len(exc.value.labels) >= 2
+            assert set(exc.value.labels) <= texts
+
+    @pytest.mark.parametrize("scheme", ["treatment", "effect"])
+    def test_pinned_zero_count_level(self, scheme):
+        a = CategoricalColumn(("p", "q", "r"), np.arange(40) % 2, pinned=True)
+        data = Dataset({"y": numeric_column(np.sin(np.arange(40.0))), "a": a,
+                        "b": categorical_column(["s", "t"] * 10 + ["t", "s"] * 10)})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            design = build_design(parse_formula("y ~ a*b"), data, scheme)
+        assert [str(w.message) for w in caught] == [
+            "level 'r' of 'a' has no observations"]
+        assert caught[0].filename == __file__
+        assert design.cell_index is not None
+        with pytest.raises(RankDeficient) as exc:
+            fit(design)
+        assert set(exc.value.labels) <= {label.text for label in design.labels}
+
+    def test_empty_crossing(self):
+        # No row has a=q and b=t, so the a[q]xb[t] column is all zero
+        # although the cells outnumber the columns.
+        combos = [(a, b, c) for a in "pqr" for b in "stu" for c in "vwxz"
+                  if (a, b) != ("q", "t")]
+        rows = combos * 2
+        data = Dataset({
+            "y": numeric_column(np.cos(np.arange(len(rows), dtype=float))),
+            "a": categorical_column([r[0] for r in rows]),
+            "b": categorical_column([r[1] for r in rows]),
+            "c": categorical_column([r[2] for r in rows]),
+        })
+        design = build_design(parse_formula("y ~ a*b + c"), data)
+        assert len(design.cell_table) > design.n_cols
+        with pytest.raises(RankDeficient) as exc:
+            fit(design)
+        assert "a[q]×b[t]" in exc.value.labels
+        assert set(exc.value.labels) <= {label.text for label in design.labels}
+
+    def test_too_few_rows_counts_rows_not_cells(self):
+        data = Dataset({"y": numeric_column([1.0, 2.0, 3.0, 4.0]),
+                        "a": categorical_column(["p", "p", "q", "q"])})
+        design = build_design(parse_formula("y ~ a"), data)
+        assert len(design.cell_table) == 2 == design.n_cols
+        result = fit(design)
+        assert result.df_residual == 2
+        data = Dataset({"y": numeric_column([1.0, 2.0]),
+                        "a": categorical_column(["p", "q"])})
+        with pytest.raises(TooFewRows):
+            fit(build_design(parse_formula("y ~ a"), data))
+
+    def test_gathered_values_are_read_only(self):
+        data = Dataset({"y": numeric_column(range(6)),
+                        "a": categorical_column(list("pqrpqr")),
+                        "b": categorical_column(list("sstttt"))})
+        design = build_design(parse_formula("y ~ a*b"), data, "effect")
+        assert design.n_rows == 6 and design.n_cols == 6
+        assert design.values.shape == (6, 6)
+        with pytest.raises(ValueError):
+            design.values[0, 0] = 9.0
+
+
+class TestPValues:
+    def test_fit_and_combination_p_keep_relative_precision(self):
+        rng = np.random.default_rng(8)
+        x = np.repeat([0.0, 1.0], 501)
+        y = 0.6 * x + rng.normal(0.0, 1.0, x.size)
+        result = fit(build_design(parse_formula("y ~ x"),
+                                  Dataset({"y": numeric_column(y),
+                                           "x": numeric_column(x)})))
+        t, df = result.t_values[1], result.df_residual
+        assert t > 8
+        reference = 2.0 * stats.t.sf(t, df)
+        assert result.p_two_tailed[1] == pytest.approx(reference, rel=1e-8, abs=0.0)
+        combo = linear_combination(result, [0.0, 1.0])
+        assert combo.p_two_tailed == pytest.approx(reference, rel=1e-8, abs=0.0)
+        for t, p in zip(result.t_values, result.p_two_tailed):
+            assert p == two_tailed_p(t, df)
 
 
 class TestOneTailed:

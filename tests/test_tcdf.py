@@ -2,11 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from dummyreg import student_t_cdf, t_cdf_quadrature
+from dummyreg.solve import two_tailed_p
 
 
 class TestClosedForms:
@@ -72,3 +75,45 @@ class TestQuadratureAgreement:
     def test_df_one_required(self):
         with pytest.raises(ValueError):
             t_cdf_quadrature(1.0, 0)
+
+
+class TestTwoTailedP:
+    """The tail is computed directly, so small p keep their digits."""
+
+    def test_far_tail_is_not_zero(self):
+        assert two_tailed_p(10.0, 1000) == pytest.approx(1.66707e-22, rel=1e-5, abs=0.0)
+
+    def test_endpoints(self):
+        assert two_tailed_p(0.0, 7) == 1.0
+        assert two_tailed_p(math.inf, 7) == 0.0
+        assert two_tailed_p(-2.5, 12) == two_tailed_p(2.5, 12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.integers(min_value=1, max_value=1000),
+                  st.integers(min_value=1, max_value=1_000_000)),
+        st.floats(min_value=-12.0, max_value=3.0),
+    )
+    def test_matches_scipy(self, df, log10_t):
+        t = 10.0 ** log10_t
+        reference = 2.0 * stats.t.sf(t, df)
+        if reference >= 1e-300:
+            assert two_tailed_p(t, df) == pytest.approx(reference, rel=1e-8, abs=0.0)
+
+    def test_matches_scipy_on_grid(self):
+        # Around p = 0.1 the tail is 1 minus the complement, which
+        # magnifies any error in the log-gamma prefactor at large df.
+        for df in (1, 2, 3, 10, 100, 1000, 10**4, 10**5, 919848, 995134, 10**6):
+            for t in np.concatenate([np.logspace(-9, 3, 241),
+                                     np.linspace(1.4, 2.0, 121)]):
+                reference = 2.0 * stats.t.sf(t, df)
+                if reference >= 1e-300:
+                    assert two_tailed_p(t, df) == pytest.approx(
+                        reference, rel=1e-8, abs=0.0), (df, t)
+
+    def test_never_increases_with_abs_t(self):
+        grid = np.concatenate([np.linspace(0.0, 40.0, 16001),
+                               np.logspace(np.log10(40.0), 3, 2001)[1:]])
+        for df in (1, 2, 5, 30, 1000, 10**6):
+            p = [two_tailed_p(t, df) for t in grid]
+            assert all(b <= a for a, b in zip(p, p[1:])), df
