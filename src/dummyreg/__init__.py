@@ -48,15 +48,6 @@ from .formula import (
     tokenize,
     unparse,
 )
-from .oracle import (
-    Cell,
-    CellMeanSpec,
-    cell_means,
-    spec_from_json,
-    spec_to_json,
-    synthesize,
-    t_cdf_quadrature,
-)
 from .report import format_p, format_value, render_json, render_text
 from .solve import (
     FitResult,
@@ -69,6 +60,27 @@ from .solve import (
 )
 
 __version__ = "0.1.0"
+
+# The oracle is verification tooling that the fit pipeline never calls,
+# so its names are served on first access (PEP 562) and importing
+# dummyreg or dummyreg.cli does not load it.
+_ORACLE_NAMES = frozenset({
+    "Cell",
+    "CellMeanSpec",
+    "cell_means",
+    "spec_from_json",
+    "spec_to_json",
+    "synthesize",
+    "t_cdf_quadrature",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CategoricalColumn",

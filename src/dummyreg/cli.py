@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle
 from .dataset import listwise_delete, read_csv
 from .encode import (
     build_design,
@@ -229,6 +228,8 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
 
 
 def _cmd_selftest(config: CliConfig) -> int:
+    from . import oracle
+
     rng = np.random.default_rng(12345)
     all_ok = True
 

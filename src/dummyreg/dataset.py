@@ -9,8 +9,10 @@ keeps its full vocabulary even when some level has no observed rows.
 
 from __future__ import annotations
 
+import array
 import csv
 import io
+import itertools
 import re
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Union
@@ -29,6 +31,12 @@ from .errors import (
 MISSING_TOKENS = ("", "NA")
 
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
+
+# Rows read_csv tokenizes before coding them column by column. A block
+# this small is freed before the cyclic collector promotes its row lists
+# to the oldest generation; with 1024 and 4096 rows, reading a 2e5-row
+# file took 1.3x and 1.6x as long (CPython 3.11).
+_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -134,43 +142,95 @@ def categorical_column(
     Without explicit levels the vocabulary is first-appearance order of
     the observed values. Missing tokens map to code -1.
     """
-    cells = list(values)
+    book = _Codebook()
+    book.add(values)
+    distinct, codes = book.factorize(strip=False)
+    return _categorical(distinct, codes, levels, pinned)
+
+
+class _Codebook:
+    """The distinct cells of one column, fed a block of rows at a time.
+
+    add() costs one dict lookup per cell and keeps one int64 per row, the
+    row where that row's cell first occurs, so a block's strings can be
+    freed once it is added. factorize() strips and numbers each distinct
+    cell once.
+    """
+
+    def __init__(self):
+        self.first_row: dict = {}  # distinct cell -> row it first occurs in
+        self.rows = array.array("q")  # each row's first_row value
+
+    def add(self, cells: Iterable) -> None:
+        row_numbers = itertools.count(len(self.rows))
+        self.rows.extend(map(self.first_row.setdefault, cells, row_numbers))
+
+    def factorize(self, strip: bool) -> tuple[list, np.ndarray]:
+        """Distinct values in first-appearance order, and each row's index.
+
+        With strip, cells that strip to the same value are one value.
+        """
+        distinct: dict = {}
+        code_at_row = np.empty(len(self.rows), dtype=np.int64)
+        for cell, row in self.first_row.items():
+            value = cell.strip() if strip else cell
+            code_at_row[row] = distinct.setdefault(value, len(distinct))
+        return list(distinct), code_at_row[np.frombuffer(self.rows, dtype=np.int64)]
+
+
+def _categorical(
+    distinct: list,
+    codes: np.ndarray,
+    levels: tuple[str, ...] | None,
+    pinned: bool = False,
+) -> CategoricalColumn:
+    """Categorical column from factorize output; levels fix the vocabulary."""
     if levels is None:
-        vocab: dict[str, int] = {}
-        for cell in cells:
-            if cell not in MISSING_TOKENS:
-                vocab.setdefault(cell, len(vocab))
-        levels = tuple(vocab)
+        levels = tuple(v for v in distinct if v not in MISSING_TOKENS)
     index = {level: i for i, level in enumerate(levels)}
-    codes = np.empty(len(cells), dtype=np.int64)
-    for i, cell in enumerate(cells):
-        if cell in MISSING_TOKENS:
-            codes[i] = -1
+    # distinct is in first-appearance order, so the first stranger found
+    # here is also the first one in row order.
+    remap = np.empty(len(distinct), dtype=np.int64)
+    for i, value in enumerate(distinct):
+        if value in MISSING_TOKENS:
+            remap[i] = -1
+        elif value in index:
+            remap[i] = index[value]
         else:
-            try:
-                codes[i] = index[cell]
-            except KeyError:
-                raise ValueError(f"value {cell!r} not in pinned levels") from None
-    return CategoricalColumn(levels, codes, pinned=pinned)
+            raise ValueError(f"value {value!r} not in pinned levels")
+    return CategoricalColumn(levels, remap[codes], pinned=pinned)
 
 
-def _looks_numeric(cells: list[str]) -> bool:
-    seen_value = False
-    for cell in cells:
-        if cell in MISSING_TOKENS:
-            continue
-        seen_value = True
-        if _NUMBER_RE.match(cell) is None:
-            return False
-    return seen_value
+def _number(value: str) -> float | None:
+    """The float a CSV cell stands for: NaN if missing, None if no number."""
+    if value in MISSING_TOKENS:
+        return np.nan
+    return float(value) if _NUMBER_RE.match(value) else None
+
+
+def _read_column(name: str, book: _Codebook, spec: ColumnSchema) -> Column:
+    distinct, codes = book.factorize(strip=True)
+    if spec.kind == "categorical":
+        return _categorical(distinct, codes, spec.levels, spec.levels is not None)
+    numbers = [_number(value) for value in distinct]
+    bad = [i for i, x in enumerate(numbers) if x is None]
+    if spec.kind == "numeric" and bad:
+        row = int(np.argmax(codes == bad[0])) + 2
+        raise MalformedCsv(row, f"column {name!r}: {distinct[bad[0]]!r} is not a number")
+    if spec.kind == "numeric" or (
+        not bad and any(value not in MISSING_TOKENS for value in distinct)
+    ):
+        return NumericColumn(np.array(numbers, dtype=np.float64)[codes])
+    return _categorical(distinct, codes, None)
 
 
 def read_csv(source: Union[str, IO[str]], schema: Schema | None = None) -> Dataset:
     """Read a CSV file (path or text stream) into a Dataset.
 
-    The first row is the header. Missing cells are "" or "NA", exactly.
-    Untyped columns are numeric when every non-missing cell parses as a
-    number, else categorical with levels in first-appearance order.
+    The first row is the header. Cells are stripped; missing cells are
+    then "" or "NA", exactly. Untyped columns are numeric when every
+    non-missing cell parses as a number, else categorical with levels in
+    first-appearance order.
     """
     if isinstance(source, str):
         with open(source, newline="") as fh:
@@ -179,59 +239,50 @@ def read_csv(source: Union[str, IO[str]], schema: Schema | None = None) -> Datas
         source = io.TextIOWrapper(source, encoding="utf-8", newline="")
     schema = schema or Schema()
 
+    # Rows are transposed a block at a time and each block column is
+    # coded at once, so only one block of rows and cells is alive at a
+    # time. A ragged row is raised only after the whole file has
+    # tokenized, because a later csv.Error takes precedence, as do the
+    # header checks.
     reader = csv.reader(source, strict=True)
+    n_rows, ragged = 0, None
     try:
-        rows = list(reader)
+        header = next(reader, None)
+        width = len(header or ())
+        books = [_Codebook() for _ in range(width)]
+        while block := list(itertools.islice(reader, _BLOCK_ROWS)):
+            if ragged is None:
+                widths = list(map(len, block))
+                if widths.count(width) == len(block):
+                    for book, cells in zip(books, zip(*block)):
+                        book.add(cells)
+                else:
+                    i = next(j for j, got in enumerate(widths) if got != width)
+                    ragged = RaggedRow(n_rows + 2 + i, widths[i], width)
+            n_rows += len(block)
     except csv.Error as exc:
         raise MalformedCsv(reader.line_num, str(exc)) from None
-    if not rows:
+    if header is None:
         raise EmptyInput()
 
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in header]
     if len(set(header)) != len(header):
         dupes = sorted({h for h in header if header.count(h) > 1})
         raise MalformedCsv(1, f"duplicate column name {dupes[0]!r}")
     if any(not h for h in header):
         raise MalformedCsv(1, "empty column name")
-
-    body = rows[1:]
-    if not body:
+    if not n_rows:
         raise EmptyInput()
-    for offset, row in enumerate(body, start=2):
-        if len(row) != len(header):
-            raise RaggedRow(offset, len(row), len(header))
-
-    cells_by_col = [[row[j].strip() for row in body] for j in range(len(header))]
-    columns: dict[str, Column] = {}
-    for name, cells in zip(header, cells_by_col):
-        spec = schema.for_name(name)
-        if spec.kind == "numeric":
-            columns[name] = _parse_numeric(name, cells)
-        elif spec.kind == "categorical":
-            columns[name] = categorical_column(
-                cells, levels=spec.levels, pinned=spec.levels is not None
-            )
-        elif _looks_numeric(cells):
-            columns[name] = _parse_numeric(name, cells)
-        else:
-            columns[name] = categorical_column(cells)
-    return Dataset(columns)
+    if ragged is not None:
+        raise ragged
+    return Dataset({
+        name: _read_column(name, book, schema.for_name(name))
+        for name, book in zip(header, books)
+    })
 
 
 def read_csv_text(text: str, schema: Schema | None = None) -> Dataset:
     return read_csv(io.StringIO(text), schema)
-
-
-def _parse_numeric(name: str, cells: list[str]) -> NumericColumn:
-    values = np.empty(len(cells), dtype=np.float64)
-    for i, cell in enumerate(cells):
-        if cell in MISSING_TOKENS:
-            values[i] = np.nan
-        elif _NUMBER_RE.match(cell):
-            values[i] = float(cell)
-        else:
-            raise MalformedCsv(i + 2, f"column {name!r}: {cell!r} is not a number")
-    return NumericColumn(values)
 
 
 def listwise_delete(data: Dataset, variables: Iterable[str]) -> Dataset:

@@ -1,12 +1,14 @@
 """CSV ingestion, column typing, level management, listwise deletion."""
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dummyreg import dataset
 from dummyreg import (
     CategoricalColumn,
     ColumnSchema,
@@ -21,6 +23,7 @@ from dummyreg import (
     read_csv_text,
 )
 from dummyreg.errors import (
+    DummyregError,
     EmptyAfterDeletion,
     EmptyInput,
     MalformedCsv,
@@ -28,6 +31,8 @@ from dummyreg.errors import (
     RaggedRow,
     UnknownVariable,
 )
+
+from util import reference_read_csv
 
 
 class TestReadCsv:
@@ -109,6 +114,151 @@ class TestReadCsv:
     def test_scientific_notation_and_signs(self):
         data = read_csv_text("x\n+1.5\n-2e3\n.25\n")
         assert data["x"].values.tolist() == [1.5, -2000.0, 0.25]
+
+
+# Cell spellings that the typing rules treat differently: padded variants
+# that strip to one level, every missing form, numbers and the float()
+# spellings that are not numbers, and cells that need quoting.
+CELLS = ["a", " a", "a ", "b", "", "NA", " NA ", "1", "1_000", "inf", "nan",
+         "1e5", ".5", "5.", "+3", "-0", " 2 ", "x,y", "p\nq", 'say "hi"']
+# Raw text that strict quoting rejects or that shifts the cell count.
+BROKEN = ['"q"z', ",", "\n"]
+
+
+def _quoted(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"'
+
+
+@st.composite
+def csv_cases(draw):
+    """Random CSV text plus a random schema over its column names."""
+    names = draw(st.lists(st.sampled_from(["g", "x", " y", "y ", "z"]),
+                          min_size=1, max_size=4, unique_by=str.strip))
+    if draw(st.integers(min_value=0, max_value=19)) == 0:
+        names.append(draw(st.sampled_from(["", names[0]])))
+    pools = [draw(st.lists(st.sampled_from(CELLS), min_size=1, max_size=4,
+                           unique=True)) for _ in names]
+    n_rows = draw(st.integers(min_value=0, max_value=12))
+    lines = [",".join(names)]
+    for _ in range(n_rows):
+        cells = []
+        for pool in pools:
+            cell = draw(st.sampled_from(pool))
+            quote = draw(st.booleans()) or any(c in cell for c in ',\n"')
+            cells.append(_quoted(cell) if quote else cell)
+        if draw(st.integers(min_value=0, max_value=30)) == 0:
+            cells.append(draw(st.sampled_from(BROKEN)))
+        lines.append(",".join(cells))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    text += draw(st.sampled_from(["", "\n"]))
+
+    columns = {}
+    for name, pool in zip(names, pools):
+        kind = draw(st.sampled_from(["default", "auto", "numeric",
+                                     "categorical", "pinned"]))
+        if kind == "pinned":
+            # The pool's values plus one that never occurs; leaving some
+            # pool values out makes strangers.
+            choices = sorted({c.strip() for c in pool} | {"zz"})
+            pinned = draw(st.lists(st.sampled_from(choices), unique=True))
+            columns[name.strip()] = ColumnSchema("categorical", tuple(pinned))
+        elif kind != "default":
+            columns[name.strip()] = ColumnSchema(kind)
+    return text, Schema(columns)
+
+
+def _read_or_error(reader, text, schema):
+    try:
+        return reader(text, schema)
+    except (DummyregError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestReaderMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(csv_cases(), st.sampled_from([1, 2, 3, dataset._BLOCK_ROWS]))
+    def test_same_columns_or_same_error(self, case, block_rows):
+        text, schema = case
+        want = _read_or_error(reference_read_csv, text, schema)
+        with mock.patch.object(dataset, "_BLOCK_ROWS", block_rows):
+            got = _read_or_error(read_csv_text, text, schema)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert isinstance(got, Dataset)
+        assert list(got.columns) == list(want.columns)
+        for name, col in want.columns.items():
+            other = got[name]
+            assert type(other) is type(col)
+            if isinstance(col, CategoricalColumn):
+                assert other.levels == col.levels
+                assert other.codes.tolist() == col.codes.tolist()
+                assert other.pinned == col.pinned
+            else:
+                assert other.values.tobytes() == col.values.tobytes()
+
+
+class TestBlockBoundaries:
+    """Errors and level order past the first block of rows."""
+
+    N = dataset._BLOCK_ROWS + 7
+
+    def _text(self, header, cells, at, bad, last=None):
+        rows = [cells] * self.N
+        rows[at] = bad
+        rows[-1] = last or cells
+        return header + "\n" + "\n".join(rows) + "\n"
+
+    def test_ragged_row(self):
+        at = dataset._BLOCK_ROWS + 3
+        with pytest.raises(RaggedRow) as exc:
+            read_csv_text(self._text("g,x", "a,1", at, "a,1,2", last="a"))
+        assert exc.value.row == at + 2
+        assert str(exc.value) == f"line {at + 2} has 3 cells, header has 2"
+
+    def test_bad_number_under_numeric_schema(self):
+        at = dataset._BLOCK_ROWS + 1
+        text = self._text("g,x", "a,1", at, "a,oops", last="a,zap")
+        with pytest.raises(MalformedCsv) as exc:
+            read_csv_text(text, Schema({"x": ColumnSchema("numeric")}))
+        assert exc.value.row == at + 2
+        assert str(exc.value) == (
+            f"malformed CSV at line {at + 2}: column 'x': 'oops' is not a number")
+
+    def test_strict_quoting_error(self):
+        at = dataset._BLOCK_ROWS + 4
+        with pytest.raises(MalformedCsv) as exc:
+            read_csv_text(self._text("g,x", "a,1", at, '"a"b,1'))
+        assert exc.value.row == at + 2
+        assert str(exc.value) == (
+            f"malformed CSV at line {at + 2}: ',' expected after '\"'")
+
+    def test_csv_error_outranks_earlier_ragged_row(self):
+        rows = ["a,1"] * self.N
+        rows[2] = "a"
+        rows[-1] = '"a"b,1'
+        with pytest.raises(MalformedCsv) as exc:
+            read_csv_text("g,x\n" + "\n".join(rows) + "\n")
+        assert exc.value.row == self.N + 1
+
+    def test_first_stranger_to_pinned_levels(self):
+        rows = ["a"] * self.N
+        rows[dataset._BLOCK_ROWS + 2] = "zz"
+        rows[-1] = "b"
+        schema = Schema({"g": ColumnSchema("categorical", ("a",))})
+        with pytest.raises(ValueError) as exc:
+            read_csv_text("g\n" + "\n".join(rows) + "\n", schema)
+        assert str(exc.value) == "value 'zz' not in pinned levels"
+
+    def test_padded_first_occurrence_sets_level_order(self):
+        rows = ["x", "y"] * (self.N // 2)
+        rows[dataset._BLOCK_ROWS + 1] = "c "
+        rows[dataset._BLOCK_ROWS + 2] = "b"
+        rows[-1] = "c"
+        data = read_csv_text("g\n" + "\n".join(rows) + "\n")
+        assert data["g"].levels == ("x", "y", "c", "b")
+        order = {"x": 0, "y": 1, "c": 2, "b": 3}
+        assert data["g"].codes.tolist() == [order[r.strip()] for r in rows]
 
 
 class TestLevels:

@@ -141,3 +141,12 @@ class TestImport:
         proc = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "False"
+
+    def test_cli_import_leaves_oracle_unloaded(self):
+        # Only selftest needs the oracle; the CLI imports it there.
+        src = str(Path(dummyreg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, dummyreg.cli; print('dummyreg.oracle' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"

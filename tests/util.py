@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from pathlib import Path
+
+import numpy as np
 
 from dummyreg import (
     CategoricalColumn,
     Dataset,
+    NumericColumn,
+    Schema,
     build_design,
     cell_means,
     parse_formula,
     spec_from_json,
     synthesize,
 )
+from dummyreg.dataset import _NUMBER_RE, MISSING_TOKENS
+from dummyreg.errors import EmptyInput, MalformedCsv, RaggedRow
 from dummyreg.formula import format_number
 from dummyreg.oracle import random_one_factor, random_two_factor  # noqa: F401
 
@@ -64,3 +72,91 @@ def dataset_csv(data: Dataset) -> str:
                 cells.append(repr(float(column.values[i])))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def reference_read_csv(text: str, schema: Schema | None = None) -> Dataset:
+    """The per-cell CSV reader that read_csv must agree with.
+
+    It tokenizes the whole text, then strips, types and codes every cell
+    on its own, in row order.
+    """
+    schema = schema or Schema()
+    reader = csv.reader(io.StringIO(text), strict=True)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise MalformedCsv(reader.line_num, str(exc)) from None
+    if not rows:
+        raise EmptyInput()
+
+    header = [cell.strip() for cell in rows[0]]
+    if len(set(header)) != len(header):
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        raise MalformedCsv(1, f"duplicate column name {dupes[0]!r}")
+    if any(not h for h in header):
+        raise MalformedCsv(1, "empty column name")
+
+    body = rows[1:]
+    if not body:
+        raise EmptyInput()
+    for offset, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise RaggedRow(offset, len(row), len(header))
+
+    cells_by_col = [[row[j].strip() for row in body] for j in range(len(header))]
+    columns = {}
+    for name, cells in zip(header, cells_by_col):
+        spec = schema.for_name(name)
+        if spec.kind == "numeric":
+            columns[name] = _reference_numeric(name, cells)
+        elif spec.kind == "categorical":
+            columns[name] = _reference_categorical(
+                cells, spec.levels, spec.levels is not None)
+        elif _reference_looks_numeric(cells):
+            columns[name] = _reference_numeric(name, cells)
+        else:
+            columns[name] = _reference_categorical(cells, None, False)
+    return Dataset(columns)
+
+
+def _reference_looks_numeric(cells: list[str]) -> bool:
+    seen_value = False
+    for cell in cells:
+        if cell in MISSING_TOKENS:
+            continue
+        seen_value = True
+        if _NUMBER_RE.match(cell) is None:
+            return False
+    return seen_value
+
+
+def _reference_numeric(name: str, cells: list[str]) -> NumericColumn:
+    values = np.empty(len(cells), dtype=np.float64)
+    for i, cell in enumerate(cells):
+        if cell in MISSING_TOKENS:
+            values[i] = np.nan
+        elif _NUMBER_RE.match(cell):
+            values[i] = float(cell)
+        else:
+            raise MalformedCsv(i + 2, f"column {name!r}: {cell!r} is not a number")
+    return NumericColumn(values)
+
+
+def _reference_categorical(cells: list[str], levels, pinned: bool):
+    if levels is None:
+        vocab: dict[str, int] = {}
+        for cell in cells:
+            if cell not in MISSING_TOKENS:
+                vocab.setdefault(cell, len(vocab))
+        levels = tuple(vocab)
+    index = {level: i for i, level in enumerate(levels)}
+    codes = np.empty(len(cells), dtype=np.int64)
+    for i, cell in enumerate(cells):
+        if cell in MISSING_TOKENS:
+            codes[i] = -1
+        else:
+            try:
+                codes[i] = index[cell]
+            except KeyError:
+                raise ValueError(f"value {cell!r} not in pinned levels") from None
+    return CategoricalColumn(levels, codes, pinned=pinned)
