@@ -225,7 +225,8 @@ def _read_column(name: str, book: _Codebook, spec: ColumnSchema) -> Column:
 
 
 def read_csv(source: Union[str, IO[str]], schema: Schema | None = None) -> Dataset:
-    """Read a CSV file (path or text stream) into a Dataset.
+    """Read a CSV file (path, text stream, or binary stream read as
+    UTF-8 and left open) into a Dataset.
 
     The first row is the header. Cells are stripped; missing cells are
     then "" or "NA", exactly. Untyped columns are numeric when every
@@ -236,7 +237,12 @@ def read_csv(source: Union[str, IO[str]], schema: Schema | None = None) -> Datas
         with open(source, newline="") as fh:
             return read_csv(fh, schema)
     if isinstance(source.read(0), bytes):
-        source = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        # Detached afterwards, so the caller's stream stays open.
+        text = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        try:
+            return read_csv(text, schema)
+        finally:
+            text.detach()
     schema = schema or Schema()
 
     # Rows are transposed a block at a time and each block column is

@@ -3,14 +3,13 @@
 A parsed formula plus a dataset become a labeled numeric matrix. Each
 categorical variable contributes k-1 contrast columns per the scheme in
 force; numeric variables pass through transforms; interaction terms are
-elementwise products of their constituents' column blocks. A design
-whose variables are all categorical is stored as one row per occupied
-cell plus each row's cell.
+elementwise products of their constituents' column blocks. When rows
+repeat a covariate pattern, the design is stored as one row per
+occupied pattern plus each data row's pattern.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -96,11 +95,12 @@ class DesignInfo:
 class DesignMatrix:
     """The n x p design as a table of rows plus an index into it.
 
-    ``cell_table`` holds one row per occupied cell and ``cell_index``
-    maps each of the n data rows to its table row. A row-level design
-    has no index: its table is the n x p matrix itself. ``values`` is
-    the n x p matrix either way; a cell design gathers it on first
-    access and keeps it.
+    ``cell_table`` holds one row per occupied covariate pattern (the
+    values of every formula variable) and ``cell_index`` maps each of
+    the n data rows to its table row. A design whose n rows are all
+    distinct has no index: its table is the n x p matrix itself.
+    ``values`` is the n x p matrix either way; a pattern design gathers
+    it on first access and keeps it.
     """
 
     labels: tuple[ColumnLabel, ...]
@@ -300,22 +300,11 @@ def _term_signature(term: Term, categoricals: Mapping[str, CategoricalInfo]):
     return tuple(parts)
 
 
-def _encode(
-    ast: FormulaAst,
-    categoricals: Mapping[str, CategoricalInfo],
-    columns: Mapping[str, Column],
-    n: int,
-) -> tuple[np.ndarray, tuple[ColumnLabel, ...]]:
-    """Expand the distinct terms (intercept, mains, then interactions)
-    into the labeled n x p design block.
-
-    Each term folds its factors left to right, from 1.0, into a
-    (cells x cols) table plus a per-row cell index: a categorical takes
-    the Kronecker product with its contrast rows and index*k + code, so
-    an all-categorical term is computed per cell and gathered once. A
-    numeric factor, or a table about to outgrow n rows, first gathers
-    the table to rows; later factors then multiply in row by row.
-    """
+def _layout(
+    ast: FormulaAst, categoricals: Mapping[str, CategoricalInfo]
+) -> tuple[dict[str, np.ndarray], list[Term], tuple[ColumnLabel, ...]]:
+    """Each categorical's contrast rows, the distinct terms to encode
+    (intercept, mains, then interactions) and their column labels."""
     contrasts = {}  # a loop: before 3.12 a comprehension shifts stacklevel
     for name, info in categoricals.items():
         contrasts[name] = _contrast_matrix(info, stacklevel=4)
@@ -351,8 +340,41 @@ def _encode(
         if label.text in texts_seen:
             raise EncodingConflict(label.text, "duplicate design column label")
         texts_seen.add(label.text)
+    return contrasts, terms, tuple(labels)
 
-    out = np.empty((n, len(labels)))
+
+def _check_log_domain(
+    terms: Iterable[Term],
+    contrasts: Mapping[str, np.ndarray],
+    columns: Mapping[str, Column],
+) -> None:
+    """Raise NonPositiveLog at the first row that a log factor, taken in
+    encoding order, cannot take, as encoding these columns would."""
+    for term in terms:
+        for ref in term.factors:
+            if ref.log and ref.name not in contrasts:
+                bad = columns[ref.name].values <= 0
+                if bad.any():
+                    raise NonPositiveLog(int(np.argmax(bad)))
+
+
+def _encode(
+    terms: Iterable[Term],
+    contrasts: Mapping[str, np.ndarray],
+    columns: Mapping[str, Column],
+    n: int,
+    p: int,
+) -> np.ndarray:
+    """Expand the terms into the n x p design block.
+
+    Each term folds its factors left to right, from 1.0, into a
+    (cells x cols) table plus a per-row cell index: a categorical takes
+    the Kronecker product with its contrast rows and index*k + code, so
+    an all-categorical term is computed per cell and gathered once. A
+    numeric factor, or a table about to outgrow n rows, first gathers
+    the table to rows; later factors then multiply in row by row.
+    """
+    out = np.empty((n, p))
     start = 0
     for term in terms:
         table = np.ones((1, 1))
@@ -375,42 +397,70 @@ def _encode(
         stop = start + table.shape[1]
         out[:, start:stop] = table if index is None else table[index]
         start = stop
-    return out, tuple(labels)
+    return out
+
+
+# A pattern key is compacted by counting while its range is at most this
+# many times the row count, and by sorting past that.
+_KEY_SPAN = 4
+
+
+def _compact(key: np.ndarray, size: int) -> tuple[np.ndarray, int]:
+    """Renumber keys in [0, size) to the m occupied ones, in ascending
+    order; returns the new keys and m."""
+    if size > _KEY_SPAN * key.size:
+        occupied, key = np.unique(key, return_inverse=True)
+        return key.reshape(-1), occupied.size
+    occupied = np.flatnonzero(np.bincount(key, minlength=size))
+    lookup = np.empty(size, dtype=np.intp)
+    lookup[occupied] = np.arange(occupied.size)
+    return lookup[key], occupied.size
 
 
 def _occupied_cells(
-    ast: FormulaAst,
-    categoricals: Mapping[str, CategoricalInfo],
-    columns: Mapping[str, Column],
-    n: int,
+    columns: Mapping[str, Column], n: int
 ) -> tuple[Mapping[str, Column], np.ndarray | None, int]:
-    """The rows to encode: one per occupied cell when every formula
-    variable is categorical, else all n.
+    """The rows to encode: one per occupied covariate pattern when some
+    rows share one, else all n.
 
-    A row's cell is the mixed-radix code of its level codes, compacted
-    to the m occupied codes in ascending order. Returns the columns to
-    encode (each cell's level codes), the n-row cell index and m; a
-    row-level design, or a crossing with more cells than rows, returns
+    ``columns`` holds every formula variable as the encoder reads it
+    (``cat()`` numerics converted). A row's pattern folds one digit per
+    variable, mixed-radix: a categorical's level code, or a numeric
+    value's rank among the column's distinct float64 bit patterns, so
+    each pattern's row is bit-identical to its data rows (-0.0 and 0.0
+    are two patterns). The key is compacted to the m occupied patterns
+    by counting whenever its range would outgrow a few times n, so an
+    all-categorical design is keyed in O(n); only numeric columns with
+    very many distinct values make the compaction sort. Returns the
+    columns to encode (each pattern's values, from one of its rows),
+    the n-row pattern index and m; when all n rows differ it returns
     the columns as given, no index and n.
     """
-    names = ast.variables()
-    sizes = [len(categoricals[name].levels) for name in names
-             if name in categoricals]
-    crossing = math.prod(sizes)
-    if len(sizes) < len(names) or crossing > n:
+    key, size = np.zeros(n, dtype=np.intp), 1
+    for column in columns.values():
+        if isinstance(column, CategoricalColumn):
+            digit, k = column.codes, len(column.levels)
+        else:
+            distinct, digit = np.unique(column.values.view(np.int64),
+                                        return_inverse=True)
+            digit, k = digit.reshape(-1), distinct.size
+            if k == n:
+                return columns, None, n
+        if size * k > _KEY_SPAN * n:
+            key, size = _compact(key, size)
+        key, size = key * k + digit, size * k
+    key, m = _compact(key, size)
+    if m >= n:
         return columns, None, n
-    code = np.zeros(n, dtype=np.intp)
-    for name, k in zip(names, sizes):
-        code = code * k + columns[name].codes
-    occupied = np.flatnonzero(np.bincount(code, minlength=crossing))
-    lookup = np.empty(crossing, dtype=np.intp)
-    lookup[occupied] = np.arange(occupied.size)
-    cell_columns: dict[str, Column] = {}
-    remaining = occupied
-    for name, k in reversed(list(zip(names, sizes))):
-        cell_columns[name] = CategoricalColumn(columns[name].levels, remaining % k)
-        remaining = remaining // k
-    return cell_columns, lookup[code], occupied.size
+    first = np.empty(m, dtype=np.intp)
+    first[key] = np.arange(n)  # any row of a pattern stands for all of them
+    patterns: dict[str, Column] = {}
+    for name, column in columns.items():
+        if isinstance(column, CategoricalColumn):
+            patterns[name] = CategoricalColumn(column.levels, column.codes[first])
+        else:
+            patterns[name] = NumericColumn(column.values[first])
+    return patterns, key, m
 
 
 def build_design(
@@ -459,8 +509,10 @@ def build_design(
                 "interactions of two continuous variables are not supported",
             )
 
-    columns, cell, rows = _occupied_cells(ast, categoricals, columns, data.n_rows)
-    table, labels = _encode(ast, categoricals, columns, rows)
+    contrasts, terms, labels = _layout(ast, categoricals)
+    _check_log_domain(terms, contrasts, columns)
+    columns, cell, rows = _occupied_cells(columns, data.n_rows)
+    table = _encode(terms, contrasts, columns, rows, len(labels))
     info = DesignInfo(ast, default_scheme, categoricals)
     return DesignMatrix(table, labels, response_col.values, ast.response, info,
                         cell_index=cell)
@@ -552,8 +604,9 @@ def profile_row(
         else:
             code = ci.levels.index(_profile_level(ci, profile[name]))
             columns[name] = CategoricalColumn(ci.levels, [code])
+    contrasts, terms, labels = _layout(ast, info.categoricals)
     try:
-        values, _ = _encode(ast, info.categoricals, columns, 1)
+        values = _encode(terms, contrasts, columns, 1, len(labels))
     except NonPositiveLog:
         raise NonPositiveLog(None) from None
     return values[0]

@@ -1,10 +1,12 @@
 """Ordinary least squares with rank checking and Student-t inference.
 
-Estimation goes through a pivoted QR factorization, never an explicit
-normal-equations inverse. Exact collinearity (the dummy variable trap)
-is a hard error naming the dependent columns. P-values come from the
-Student-t tail, built on a self-contained regularized incomplete beta
-function; an independent quadrature oracle lives in the oracle module.
+Estimation reduces [X | y] to the R factor of its QR factorization and
+back-substitutes, never forming Q or a normal-equations inverse, with
+numpy alone. Exact collinearity (the dummy variable trap), found by a
+pivoted QR of R with unit-norm columns, is a hard error naming the
+dependent columns. P-values come from the Student-t tail, built on a
+self-contained regularized incomplete beta function; an independent
+quadrature oracle lives in the oracle module.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
 
 from .encode import ColumnLabel, DesignInfo, DesignMatrix, profile_row
 from .errors import (
@@ -25,6 +26,7 @@ from .errors import (
 )
 
 RANK_TOL = 1e-10
+_QR_BLOCK_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -64,13 +66,71 @@ class FitResult:
         raise UnknownLabel(label)
 
 
+def _pivoted_diagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|diag R| of a Householder QR with column pivoting of a small
+    matrix, and the column order.
+
+    Each step moves the remaining column of largest norm to the front,
+    so the diagonal reveals the rank.
+    """
+    a = a.copy()
+    rows, cols = a.shape
+    order = np.arange(cols)
+    diag = np.zeros(cols)
+    for j in range(min(rows, cols)):
+        rest = a[j:, j:]
+        k = j + int(np.argmax(np.einsum("ij,ij->j", rest, rest)))
+        if k != j:
+            a[:, [j, k]] = a[:, [k, j]]
+            order[[j, k]] = order[[k, j]]
+        v = a[j:, j].copy()
+        diag[j] = alpha = math.sqrt(v @ v)
+        if alpha == 0.0:
+            break  # every remaining column is zero
+        v[0] += math.copysign(alpha, v[0])
+        a[j:, j:] -= np.outer(v, (2.0 / (v @ v)) * (v @ a[j:, j:]))
+    return diag, order
+
+
+def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve r x = b for an upper-triangular r; b is a vector or a matrix."""
+    x = np.array(b, dtype=np.float64)
+    for i in range(len(r) - 1, -1, -1):
+        x[i] -= r[i, i + 1:] @ x[i + 1:]
+        x[i] /= r[i, i]
+    return x
+
+
+def _dependent_in_order(a: np.ndarray, tol: float) -> list[int]:
+    """Columns of a that lie in the span of the earlier columns kept,
+    scanned left to right: those whose remainder after projecting out
+    the kept columns (twice, for orthogonality) is shorter than tol."""
+    basis = np.empty((a.shape[0], 0))
+    dependent = []
+    for j in range(a.shape[1]):
+        w = a[:, j]
+        for _ in range(2):
+            w = w - basis @ (basis.T @ w)
+        norm = math.sqrt(w @ w)
+        if norm < tol:
+            dependent.append(j)
+        else:
+            basis = np.column_stack([basis, w / norm])
+    return dependent
+
+
 def fit(design: DesignMatrix) -> FitResult:
     """Least-squares fit of the design's response on its columns.
 
-    A design that keeps one table row per occupied cell is solved from
-    per-cell sufficient statistics: the rows of ``sqrt(count) * table``
-    against ``sqrt(count) * cell mean`` have the same normal equations
-    as the n x p problem. A row-level design is factored as it stands.
+    A design that keeps one table row per occupied covariate pattern is
+    solved from per-pattern sufficient statistics: the rows of
+    ``sqrt(count) * [table | pattern mean]`` have the same normal
+    equations as the n x p problem. That matrix, or a row-level
+    design's ``[values | y]``, is reduced to its (p+1)-square R factor
+    without forming Q; the coefficients and their covariance come from
+    back-substitution in R. The rank test is a pivoted QR of R with
+    its columns scaled to unit norm, so it does not depend on column
+    scale. Residuals and RSS come from all n rows.
     """
     table, cell = design.cell_table, design.cell_index
     y = design.response
@@ -79,27 +139,35 @@ def fit(design: DesignMatrix) -> FitResult:
         raise TooFewRows(n, p)
 
     if cell is None:
-        a, b = table, y
+        weight, target = None, y
     else:
         counts = np.bincount(cell, minlength=len(table))
-        root = np.sqrt(counts)
-        a = table * root[:, None]
-        b = root * (np.bincount(cell, weights=y, minlength=len(table)) / counts)
-    q, r, piv = qr(a, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
+        weight = np.sqrt(counts)
+        # A table row that no data row uses gets weight 0, not 0/0.
+        target = (np.bincount(cell, weights=y, minlength=len(table))
+                  / np.maximum(counts, 1))
+    # R is carried from block to block, so no temporary outgrows a block.
+    top = np.zeros((0, p + 1))
+    for start in range(0, len(table), _QR_BLOCK_ROWS):
+        rows = slice(start, start + _QR_BLOCK_ROWS)
+        block = np.column_stack([table[rows], target[rows]])
+        if weight is not None:
+            block *= weight[rows, None]
+        top = np.linalg.qr(np.vstack([top, block]), mode="r")
+    r = np.zeros((p + 1, p + 1))
+    r[:len(top)] = top
+    norms = np.sqrt(np.einsum("ij,ij->j", r[:, :p], r[:, :p]))
+    unit = r[:, :p] / np.where(norms > 0.0, norms, 1.0)
+    diag, piv = _pivoted_diagonal(unit)
     scale = diag.max() if diag.size else 0.0
-    # With fewer cells than columns, every pivot past the last cell is
-    # dependent.
-    dependent = np.ones(p, dtype=bool)
-    if scale > 0.0:
-        dependent[:diag.size] = diag < RANK_TOL * scale
+    dependent = diag < RANK_TOL * scale if scale > 0.0 else np.ones(p, dtype=bool)
     if dependent.any():
-        names = [design.labels[piv[j]].text for j in np.flatnonzero(dependent)]
-        raise RankDeficient(names)
-
-    pivoted = solve_triangular(r, q.T @ b)
-    coefficients = np.empty(p)
-    coefficients[piv] = pivoted
+        # Named by a left-to-right scan, so the names do not hang on
+        # how rounding breaks ties between pivots.
+        columns = (_dependent_in_order(unit, RANK_TOL * scale)
+                   or piv[np.flatnonzero(dependent)])
+        raise RankDeficient([design.labels[j].text for j in columns])
+    coefficients = _back_substitute(r[:p, :p], r[:p, p])
 
     fitted = table @ coefficients
     if cell is not None:
@@ -109,10 +177,8 @@ def fit(design: DesignMatrix) -> FitResult:
     df = n - p
     sigma2 = rss / df
 
-    r_inv = solve_triangular(r, np.eye(p))
-    cov_pivoted = sigma2 * (r_inv @ r_inv.T)
-    cov = np.empty((p, p))
-    cov[np.ix_(piv, piv)] = cov_pivoted
+    r_inv = _back_substitute(r[:p, :p], np.eye(p))
+    cov = sigma2 * (r_inv @ r_inv.T)
 
     stderr = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     t_values = np.zeros(p)

@@ -1,6 +1,10 @@
 """CSV ingestion, column typing, level management, listwise deletion."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -103,6 +107,25 @@ class TestReadCsv:
         with open(path, "rb") as fh:
             from_stream = read_csv(fh)
         assert from_path["x"].values.tolist() == from_stream["x"].values.tolist()
+
+    def test_binary_stream_is_left_open(self, tmp_path):
+        # The text wrapper is detached, so collecting it neither closes
+        # the caller's file nor warns about it.
+        path = tmp_path / "tiny.csv"
+        path.write_text("x\n1\n2\n")
+        probe = (
+            "import gc, sys\n"
+            "from dummyreg import read_csv\n"
+            "with open(sys.argv[1], 'rb') as fh:\n"
+            "    read_csv(fh)\n"
+            "    gc.collect()\n"
+            "    assert not fh.closed\n"
+        )
+        src = str(Path(dataset.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-c", probe, str(path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_deterministic(self):
         text = "g,x\na,1\nb,2\na,NA\n"

@@ -284,6 +284,24 @@ class TestBuildDesign:
             build_design(parse_formula("y ~ female"), data,
                          refs={"female": "0"})
 
+    def test_log_error_names_the_first_data_row(self):
+        # Rows 0-5 repeat two patterns; -1.0 (row 6) sorts before every
+        # positive value, so its pattern is not the sixth.
+        x = [2.0, 3.0, 2.0, 3.0, 2.0, 3.0, -1.0, 2.0, 0.0, 3.0]
+        data = Dataset({"y": numeric_column(range(10)), "x": numeric_column(x),
+                        "g": categorical_column(list("ab") * 5)})
+        with pytest.raises(NonPositiveLog) as exc:
+            build_design(parse_formula("y ~ g + center(log(x), at=1)"), data)
+        assert exc.value.row == 6
+        assert str(exc.value) == "log transform requires positive values (row 6)"
+
+    def test_single_level_reported_before_log_error(self):
+        data = Dataset({"y": numeric_column(range(4)),
+                        "x": numeric_column([1.0, 0.0, 1.0, 2.0]),
+                        "g": categorical_column(["a"] * 4)})
+        with pytest.raises(SingleLevel):
+            build_design(parse_formula("y ~ log(x) + g"), data)
+
     def test_design_is_immutable(self):
         data = read_csv_text("y,x\n1,2\n3,4\n")
         design = build_design(parse_formula("y ~ x"), data)

@@ -150,3 +150,13 @@ class TestImport:
         proc = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "False"
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # A fit needs only numpy; scipy serves the selftest oracle.
+        src = str(Path(dummyreg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = ("import sys, dummyreg.cli; "
+                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"

@@ -1,7 +1,6 @@
 """OLS estimation, rank detection, and inference helpers."""
 
 import itertools
-import math
 import tracemalloc
 import warnings
 
@@ -149,7 +148,6 @@ class TestCellPath:
         rng = np.random.default_rng(seed)
         names = ["a", "b", "c"][:len(factors)]
         sizes = [k for k, _ in factors]
-        cells = math.prod(sizes)
         # Every level occurs; a complete sample also holds every crossing.
         base = ([list(combo) for combo in itertools.product(*map(range, sizes))]
                 if complete else [[i % k for k in sizes] for i in range(max(sizes))])
@@ -173,7 +171,7 @@ class TestCellPath:
                 for name in names if rng.random() < 0.5}
 
         design = build_design(parse_formula(formula), data, scheme, refs)
-        assert (design.cell_index is not None) == (cells <= n)
+        assert (design.cell_index is not None) == (len(np.unique(codes, axis=0)) < n)
         try:
             expected = fit(self.row_level(design))
         except (RankDeficient, TooFewRows) as exc:
@@ -287,6 +285,172 @@ class TestCellPath:
         assert design.values.shape == (6, 6)
         with pytest.raises(ValueError):
             design.values[0, 0] = 9.0
+
+
+# Factors a pattern-path formula draws from: a categorical, a cat() of a
+# numeric column, a 0/1 pass-through (with -0.0 among its zeros) and a
+# centred log of a numeric column with few or all-distinct values.
+LOG_X = "center(log(x), at=log(2))"
+PATTERN_FACTORS = ("g", "cat(k)", "d", LOG_X)
+
+
+@st.composite
+def pattern_cases(draw):
+    n = draw(st.integers(8, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct_x = draw(st.booleans())
+
+    def codes(k):
+        return np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+
+    x = (rng.uniform(0.5, 40.0, n) if distinct_x
+         else np.array([1.0, 2.0, 3.5, 7.0])[codes(4)])
+    data = Dataset({
+        "y": numeric_column(rng.normal(20.0, 3.0, n)),
+        "g": CategoricalColumn(("lo", "mid", "hi"), codes(3)),
+        "k": numeric_column(np.array([0.0, 1.5, 3.0])[codes(3)]),
+        "d": numeric_column(np.array([0.0, -0.0, 1.0])[codes(3)]),
+        "x": numeric_column(x),
+    })
+    mains = draw(st.lists(st.sampled_from(PATTERN_FACTORS), unique=True))
+    crossed = draw(st.permutations(PATTERN_FACTORS))[: draw(st.integers(2, 4))]
+    formula = "y ~ " + " + ".join(mains + [":".join(crossed)])
+    scheme = draw(st.sampled_from(SCHEMES))
+    return data, parse_formula(formula), scheme
+
+
+class TestPatternPath:
+    """Designs whose rows repeat a covariate pattern are solved per pattern."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pattern_cases())
+    def test_matches_row_level_fit(self, case):
+        data, ast, scheme = case
+        design = build_design(ast, data, scheme)
+        used = np.column_stack([
+            data[name].codes if isinstance(data[name], CategoricalColumn)
+            else data[name].values.view(np.int64) for name in ast.variables()])
+        patterns = len(np.unique(used, axis=0))
+        assert (design.cell_index is not None) == (patterns < data.n_rows)
+        if design.cell_index is not None:
+            assert len(design.cell_table) == patterns
+        try:
+            expected = fit(TestCellPath.row_level(design))
+        except TooFewRows:
+            with pytest.raises(TooFewRows):
+                fit(design)
+            return
+        except RankDeficient as exc:
+            with pytest.raises(RankDeficient) as raised:
+                fit(design)
+            assert raised.value.labels == exc.labels
+            return
+        got = fit(design)
+
+        def close(a, b):
+            a, b = np.atleast_1d(a), np.atleast_1d(b)
+            return np.abs(a - b).max() <= 1e-10 * max(np.abs(b).max(), 1e-300)
+
+        assert close(got.coefficients, expected.coefficients)
+        assert close(got.stderr, expected.stderr)
+        assert close(got.rss, expected.rss)
+        assert close(got.fitted, expected.fitted)
+        assert abs(got.r_squared - expected.r_squared) <= 1e-10
+
+    def test_repeated_patterns_shrink_the_table(self):
+        data = Dataset({
+            "y": numeric_column(np.arange(12.0)),
+            "d": numeric_column([0.0, 1.0, -0.0, 1.0] * 3),
+            "x": numeric_column([2.0, 2.0, 3.0, 3.0] * 3),
+        })
+        design = build_design(parse_formula("y ~ d + log(x)"), data)
+        # -0.0 and 0.0 are kept apart: (0,2), (1,2), (-0,3), (1,3).
+        assert design.cell_table.shape == (4, 3)
+        assert np.array_equal(design.values[:, 2], np.log(data["x"].values))
+        assert fit(design).df_residual == 9
+
+    def test_wide_crossing_is_compacted_while_folded(self):
+        # 2^18 crossings over 96 rows: the key is compacted by counting
+        # each time its range would pass 4n.
+        rng = np.random.default_rng(2)
+        codes = np.tile(rng.integers(0, 2, (32, 18)), (3, 1))
+        codes[:, 0] = np.arange(96) % 2
+        names = [f"f{i}" for i in range(18)]
+        data = Dataset({"y": numeric_column(rng.normal(size=96)),
+                        **{name: CategoricalColumn(("p", "q"), codes[:, i])
+                           for i, name in enumerate(names)}})
+        design = build_design(parse_formula("y ~ " + " + ".join(names)), data)
+        assert len(design.cell_table) == len(np.unique(codes, axis=0))
+        assert np.array_equal(design.values[:, 1:], codes)
+        expected = fit(TestCellPath.row_level(design))
+        assert np.allclose(fit(design).fitted, expected.fitted, rtol=1e-10, atol=0)
+
+    def test_many_distinct_values_are_keyed_by_sorting(self):
+        # Two numeric columns of 20 values each: a 400-wide key over 40
+        # rows, compacted by np.unique.
+        rng = np.random.default_rng(3)
+        x = np.tile(np.arange(1.0, 21.0) / 7.0, 2)
+        z = np.tile(rng.permutation(20) / 3.0, 2)
+        data = Dataset({"y": numeric_column(rng.normal(size=40)),
+                        "x": numeric_column(x), "z": numeric_column(z)})
+        design = build_design(parse_formula("y ~ x + z"), data)
+        assert len(design.cell_table) == 20
+        assert np.array_equal(design.values, np.column_stack([np.ones(40), x, z]))
+        expected = fit(TestCellPath.row_level(design))
+        assert np.allclose(fit(design).coefficients, expected.coefficients,
+                           rtol=1e-10, atol=0)
+
+
+class TestRankTest:
+    """The rank test sees column directions, not column scales."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([-12, 12]),
+        st.integers(min_value=0, max_value=10),
+        st.booleans(),
+    )
+    def test_column_scale_does_not_change_the_fit(self, k, seed, power, pick,
+                                                  as_patterns):
+        rng = np.random.default_rng(seed)
+        n = 60
+        codes = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+        dummies = np.eye(k)[codes]
+        x = rng.choice([0.5, 1.0, 2.0, 4.0], n)
+        y = rng.normal(10.0, 2.0, n) + 0.3 * x
+
+        def design_of(matrix, scaled_column=None):
+            matrix = matrix.copy()
+            if scaled_column is not None:
+                matrix[:, scaled_column % matrix.shape[1]] *= 10.0 ** power
+            labels = simple_labels([f"c{j}" for j in range(matrix.shape[1])])
+            if not as_patterns:
+                return DesignMatrix(matrix, labels, y)
+            table, index = np.unique(matrix, axis=0, return_inverse=True)
+            return DesignMatrix(table, labels, y, cell_index=index.reshape(-1))
+
+        full = np.column_stack([np.ones(n), dummies[:, 1:], x])
+        base = fit(design_of(full)).fitted
+        scaled = fit(design_of(full, pick)).fitted
+        assert np.abs(scaled - base).max() <= 1e-8 * np.abs(base).max()
+
+        trap = np.column_stack([np.ones(n), dummies])
+        with pytest.raises(RankDeficient):
+            fit(design_of(trap, pick))
+
+    def test_trap_is_named_in_formula_order(self):
+        # d2 = 1 - d0 - d1 is the first column in the span of those kept
+        # before it, whatever the column scales.
+        rows = np.array([(1, 0, 0), (0, 1, 0), (0, 0, 1)] * 3, dtype=float)
+        for factor in (1.0, 1e-12, 1e12):
+            matrix = np.column_stack([np.ones(9), rows]) * [1.0, factor, 1.0, 1.0]
+            design = DesignMatrix(matrix, simple_labels(["(i)", "d0", "d1", "d2"]),
+                                  np.arange(9.0))
+            with pytest.raises(RankDeficient) as exc:
+                fit(design)
+            assert exc.value.labels == ("d2",)
 
 
 class TestPValues:
