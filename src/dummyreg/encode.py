@@ -365,37 +365,25 @@ def _encode(
     n: int,
     p: int,
 ) -> np.ndarray:
-    """Expand the terms into the n x p design block.
+    """Expand the terms into the n x p design block of the n rows that
+    ``columns`` hold: one per occupied pattern, or one profile.
 
-    Each term folds its factors left to right, from 1.0, into a
-    (cells x cols) table plus a per-row cell index: a categorical takes
-    the Kronecker product with its contrast rows and index*k + code, so
-    an all-categorical term is computed per cell and gathered once. A
-    numeric factor, or a table about to outgrow n rows, first gathers
-    the table to rows; later factors then multiply in row by row.
+    Each term folds its factors left to right, from 1.0, row by row: a
+    categorical multiplies in its contrast rows, a numeric factor its
+    transformed values.
     """
     out = np.empty((n, p))
     start = 0
     for term in terms:
-        table = np.ones((1, 1))
-        index: np.ndarray | None = np.zeros(n, dtype=np.intp)
+        block = np.ones((n, 1))
         for ref in term.factors:
             column = columns[ref.name]
             matrix = contrasts.get(ref.name)
-            if matrix is None:
-                rows = apply_transform(column.values, ref)[:, None]
-            elif index is not None and len(table) * len(matrix) <= n:
-                cells = table[:, None, :, None] * matrix[:, None, :]
-                table = cells.reshape(len(table) * len(matrix), -1)
-                index = index * len(matrix) + column.codes
-                continue
-            else:
-                rows = matrix[column.codes]
-            if index is not None:
-                table, index = table[index], None
-            table = (table[:, :, None] * rows[:, None, :]).reshape(n, -1)
-        stop = start + table.shape[1]
-        out[:, start:stop] = table if index is None else table[index]
+            rows = (apply_transform(column.values, ref)[:, None] if matrix is None
+                    else matrix[column.codes])
+            block = (block[:, :, None] * rows[:, None, :]).reshape(n, -1)
+        stop = start + block.shape[1]
+        out[:, start:stop] = block
         start = stop
     return out
 

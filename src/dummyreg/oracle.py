@@ -5,8 +5,9 @@ values exactly, so coefficient algebra can be checked without any real
 survey data. cell_means() is the direct groupby-mean computation, and
 t_cdf_quadrature() integrates the t density numerically as an oracle
 for the closed-form CDF in the solve module. random_one_factor() and
-random_two_factor() draw the random datasets that the test suite and
-``dummyreg selftest`` both check.
+random_two_factor() draw random datasets, and t_cdf_error(),
+scheme_invariance_error() and saturated_cell_mean_error() are the checks
+that the acceptance tests and ``dummyreg selftest`` both run.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from .dataset import (
     numeric_column,
 )
 from .dataset import _NUMBER_RE  # shared numeric-literal rule
+from .encode import build_design
 from .errors import UnknownVariable
-from .formula import format_number
+from .formula import SCHEMES, format_number, parse_formula
+from .solve import fit, student_t_cdf
 
 
 @dataclass(frozen=True)
@@ -167,6 +170,15 @@ def random_two_factor(rng) -> Dataset:
     })
 
 
+def row_keys(data: Dataset, factors: Sequence[str]) -> list[tuple[str, ...]]:
+    """Each row's cell: the level name of each factor, a number by its
+    canonical level text."""
+    columns = [data[name] for name in factors]
+    return [tuple(c.levels[c.codes[i]] if isinstance(c, CategoricalColumn)
+                  else format_number(c.values[i]) for c in columns)
+            for i in range(data.n_rows)]
+
+
 def cell_means(
     data: Dataset, factors: Sequence[str], response: str = "y"
 ) -> dict[tuple[str, ...], float]:
@@ -175,20 +187,9 @@ def cell_means(
         if name not in data:
             raise UnknownVariable(name)
     y = data[response].values  # type: ignore[union-attr]
-    keys: list[tuple[str, ...]] = []
-    for i in range(data.n_rows):
-        key = []
-        for name in factors:
-            column = data[name]
-            if isinstance(column, CategoricalColumn):
-                key.append(column.levels[column.codes[i]])
-            else:
-                key.append(format_number(column.values[i]))
-        keys.append(tuple(key))
-
     sums: dict[tuple[str, ...], float] = {}
     counts: dict[tuple[str, ...], int] = {}
-    for key, value in zip(keys, y):
+    for key, value in zip(row_keys(data, factors), y):
         sums[key] = sums.get(key, 0.0) + float(value)
         counts[key] = counts.get(key, 0) + 1
     return {key: sums[key] / counts[key] for key in sums}
@@ -217,3 +218,50 @@ def t_cdf_quadrature(t: float, df: int) -> float:
 
     area, _ = quad(density, 0.0, abs(t), epsabs=1e-13, epsrel=1e-13, limit=200)
     return 0.5 + area if t >= 0 else 0.5 - area
+
+
+# --- checks shared by the acceptance tests and ``dummyreg selftest`` ---
+# Each returns its worst error through np.max, so a NaN error is
+# returned as NaN and fails the caller's bound.
+
+def t_cdf_error(dfs: Sequence[int], ts: Sequence[float]) -> float:
+    """Largest |student_t_cdf - t_cdf_quadrature| over every (df, t)."""
+    return float(np.max([abs(student_t_cdf(float(t), df) - t_cdf_quadrature(t, df))
+                         for df in dfs for t in ts]))
+
+
+def scheme_invariance_error(rng, trials: int) -> tuple[float, float]:
+    """Fit ``y ~ g`` under every scheme on random one-factor sets.
+
+    Returns the largest fitted-value difference between schemes, and
+    the largest error of the effect-coded intercept against the
+    unweighted mean of the group means and of the weighted-effect
+    intercept against the grand mean.
+    """
+    ast = parse_formula("y ~ g")
+    fit_errors, intercept_errors = [], []
+    for _ in range(trials):
+        data = random_one_factor(rng)
+        fits = {s: fit(build_design(ast, data, s)) for s in SCHEMES}
+        base = fits["treatment"].fitted
+        fit_errors += [np.max(np.abs(other.fitted - base)) for other in fits.values()]
+        means = cell_means(data, ["g"], "y")
+        unweighted = sum(means.values()) / len(means)
+        grand = float(data["y"].values.mean())
+        intercept_errors += [abs(fits["effect"].coefficients[0] - unweighted),
+                             abs(fits["weighted"].coefficients[0] - grand)]
+    return float(np.max(fit_errors)), float(np.max(intercept_errors))
+
+
+def saturated_cell_mean_error(rng, trials: int) -> float:
+    """Largest |fitted - cell mean| of ``y ~ a * b`` over every row of
+    random full two-factor grids."""
+    ast = parse_formula("y ~ a * b")
+    errors = []
+    for _ in range(trials):
+        data = random_two_factor(rng)
+        result = fit(build_design(ast, data))
+        means = cell_means(data, ["a", "b"], "y")
+        expected = [means[key] for key in row_keys(data, ["a", "b"])]
+        errors.append(np.max(np.abs(result.fitted - expected)))
+    return float(np.max(errors))

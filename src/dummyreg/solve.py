@@ -122,37 +122,33 @@ def _dependent_in_order(a: np.ndarray, tol: float) -> list[int]:
 def fit(design: DesignMatrix) -> FitResult:
     """Least-squares fit of the design's response on its columns.
 
-    A design that keeps one table row per occupied covariate pattern is
-    solved from per-pattern sufficient statistics: the rows of
-    ``sqrt(count) * [table | pattern mean]`` have the same normal
-    equations as the n x p problem. That matrix, or a row-level
-    design's ``[values | y]``, is reduced to its (p+1)-square R factor
+    The design is solved from per-pattern sufficient statistics: the
+    rows of ``sqrt(count) * [table row | pattern mean]`` have the same
+    normal equations as the n x p problem. A design without a pattern
+    index is its own table, each row a pattern of count 1, for which
+    this is exact. That matrix is reduced to its (p+1)-square R factor
     without forming Q; the coefficients and their covariance come from
     back-substitution in R. The rank test is a pivoted QR of R with
     its columns scaled to unit norm, so it does not depend on column
     scale. Residuals and RSS come from all n rows.
     """
-    table, cell = design.cell_table, design.cell_index
+    table = design.cell_table
     y = design.response
     n, p = design.n_rows, design.n_cols
     if n <= p:
         raise TooFewRows(n, p)
+    cell = design.cell_index if design.cell_index is not None else np.arange(n)
 
-    if cell is None:
-        weight, target = None, y
-    else:
-        counts = np.bincount(cell, minlength=len(table))
-        weight = np.sqrt(counts)
-        # A table row that no data row uses gets weight 0, not 0/0.
-        target = (np.bincount(cell, weights=y, minlength=len(table))
-                  / np.maximum(counts, 1))
+    counts = np.bincount(cell, minlength=len(table))
+    weight = np.sqrt(counts)
+    # A table row that no data row uses gets weight 0, not 0/0.
+    target = (np.bincount(cell, weights=y, minlength=len(table))
+              / np.maximum(counts, 1))
     # R is carried from block to block, so no temporary outgrows a block.
     top = np.zeros((0, p + 1))
     for start in range(0, len(table), _QR_BLOCK_ROWS):
         rows = slice(start, start + _QR_BLOCK_ROWS)
-        block = np.column_stack([table[rows], target[rows]])
-        if weight is not None:
-            block *= weight[rows, None]
+        block = np.column_stack([table[rows], target[rows]]) * weight[rows, None]
         top = np.linalg.qr(np.vstack([top, block]), mode="r")
     r = np.zeros((p + 1, p + 1))
     r[:len(top)] = top
@@ -169,9 +165,7 @@ def fit(design: DesignMatrix) -> FitResult:
         raise RankDeficient([design.labels[j].text for j in columns])
     coefficients = _back_substitute(r[:p, :p], r[:p, p])
 
-    fitted = table @ coefficients
-    if cell is not None:
-        fitted = fitted[cell]
+    fitted = (table @ coefficients)[cell]
     residuals = y - fitted
     rss = float(residuals @ residuals)
     df = n - p

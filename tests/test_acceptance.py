@@ -26,18 +26,16 @@ from dummyreg import (
     simple_labels,
     student_t_cdf,
     synthesize,
-    t_cdf_quadrature,
 )
 from dummyreg.cli import main
 from dummyreg.errors import RankDeficient
-
-from util import (
-    load_spec,
-    random_one_factor,
-    random_two_factor,
-    row_cell_key,
-    dataset_csv,
+from dummyreg.oracle import (
+    saturated_cell_mean_error,
+    scheme_invariance_error,
+    t_cdf_error,
 )
+
+from util import load_spec, dataset_csv
 
 
 def _line(n, ok, text):
@@ -124,24 +122,7 @@ def test_04_dummy_trap_always_detected():
 
 def test_05_scheme_invariants_random_one_factor():
     rng = np.random.default_rng(505)
-    ast = parse_formula("y ~ g")
-    worst_fit = 0.0
-    worst_intercept = 0.0
-    for _ in range(200):
-        data = random_one_factor(rng)
-        fits = {s: fit(build_design(ast, data, s))
-                for s in ("treatment", "effect", "weighted")}
-        base = fits["treatment"].fitted
-        for other in fits.values():
-            worst_fit = max(worst_fit, float(np.max(np.abs(other.fitted - base))))
-        means = cell_means(data, ["g"], "y")
-        unweighted = sum(means.values()) / len(means)
-        grand = float(data["y"].values.mean())
-        worst_intercept = max(
-            worst_intercept,
-            abs(fits["effect"].coefficients[0] - unweighted),
-            abs(fits["weighted"].coefficients[0] - grand),
-        )
+    worst_fit, worst_intercept = scheme_invariance_error(rng, 200)
     _line(5, worst_fit < 1e-10 and worst_intercept < 1e-10,
           f"200 one-factor sets: fitted diff {worst_fit:.2e}, "
           f"intercept err {worst_intercept:.2e}")
@@ -149,25 +130,14 @@ def test_05_scheme_invariants_random_one_factor():
 
 def test_06_saturated_two_factor_reproduces_cell_means():
     rng = np.random.default_rng(606)
-    ast = parse_formula("y ~ a * b")
-    worst = 0.0
-    for _ in range(200):
-        data = random_two_factor(rng)
-        result = fit(build_design(ast, data))
-        means = cell_means(data, ["a", "b"], "y")
-        for i in range(data.n_rows):
-            key = row_cell_key(data, ["a", "b"], i)
-            worst = max(worst, abs(result.fitted[i] - means[key]))
+    worst = saturated_cell_mean_error(rng, 200)
     _line(6, worst < 1e-9, f"200 two-factor sets: fitted vs cell means {worst:.2e}")
 
 
 def test_07_t_cdf_accuracy():
     start = time.perf_counter()
-    worst = 0.0
-    for df in (1, 2, 5, 10, 30, 100, 1000):
-        for t in np.arange(-5.0, 5.0 + 1e-9, 0.25):
-            worst = max(worst,
-                        abs(student_t_cdf(float(t), df) - t_cdf_quadrature(t, df)))
+    worst = t_cdf_error((1, 2, 5, 10, 30, 100, 1000),
+                        np.arange(-5.0, 5.0 + 1e-9, 0.25))
     closed = max(
         abs(student_t_cdf(0.0, 7) - 0.5),
         abs(student_t_cdf(1.0, 1) - 0.75),

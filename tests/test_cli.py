@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from dummyreg import synthesize
+from dummyreg import build_design, parse_formula, read_csv, synthesize
 from dummyreg.cli import main
 
 from util import dataset_csv, load_spec
@@ -152,6 +152,33 @@ class TestEncode:
         low_rows = [r for r in rows[1:] if float(r[1]) == -1.0]
         assert len(low_rows) == 3
         assert all(float(r[2]) == -1.0 for r in low_rows)
+
+    @pytest.mark.parametrize("ages, repeated", [
+        ("20 30 20 30 20 30 20 30", True),
+        ("20 31 22 33 24 35 26 37", False),
+    ])
+    def test_bytes_match_per_row_formatting(self, capsys, tmp_path, ages, repeated):
+        # A -0 in a 0/1 column and in the response, a cat() numeric and
+        # a label holding a comma, with and without repeated patterns.
+        rows = zip("24.5 25.25 23.0 26.5 -0 1e-3 22.75 30".split(),
+                   "-0 1 0 1 -0 1 0 1".split(), "2 0 2 0 2 0 2 0".split(),
+                   ages.split())
+        path = tmp_path / "survey.csv"
+        path.write_text("bmi,female,kids,age\n"
+                        + "".join(",".join(row) + "\n" for row in rows))
+        formula = "bmi ~ female*cat(kids) + center(log(age), at=log(18))"
+        code, out, _ = run_cli(capsys, "encode", "--data", str(path),
+                               "--formula", formula)
+        design = build_design(parse_formula(formula), read_csv(str(path)))
+        assert (design.cell_index is not None) == repeated
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow([label.text for label in design.labels] + ["bmi"])
+        for values, y in zip(design.values, design.response):
+            writer.writerow([repr(float(v)) for v in values] + [repr(float(y))])
+        assert code == 0 and out == expected.getvalue()
+        assert '"center(log(age), at=log(18))"' in out.splitlines()[0]
+        assert "-0.0," in out
 
 
 class TestPredict:

@@ -46,6 +46,20 @@ def two_group_design():
     return build_design(parse_formula("bmi ~ female"), data)
 
 
+def assert_matches_lstsq(design, result):
+    """Check a fit against numpy's SVD least squares on the n x p matrix,
+    a solver that shares no code with fit: coefficients to 1e-8 of the
+    largest one, RSS to 1e-8 of the total sum of squares, which bounds
+    it when the model has an intercept."""
+    x, y = design.values, design.response
+    coefficients = np.linalg.lstsq(x, y, rcond=None)[0]
+    residuals = y - x @ coefficients
+    tss = float(((y - y.mean()) ** 2).sum())
+    assert (np.abs(result.coefficients - coefficients).max()
+            <= 1e-8 * np.abs(coefficients).max())
+    assert abs(result.rss - float(residuals @ residuals)) <= 1e-8 * tss
+
+
 class TestFit:
     def test_two_group_means(self):
         result = fit(two_group_design())
@@ -190,6 +204,7 @@ class TestCellPath:
         assert close(got.fitted, expected.fitted)
         assert abs(got.r_squared - expected.r_squared) <= 1e-10
         assert got.df_residual == expected.df_residual
+        assert_matches_lstsq(design, got)
 
     def test_peak_memory_below_quarter_of_dense_design(self):
         n = 200_000
@@ -356,6 +371,7 @@ class TestPatternPath:
         assert close(got.rss, expected.rss)
         assert close(got.fitted, expected.fitted)
         assert abs(got.r_squared - expected.r_squared) <= 1e-10
+        assert_matches_lstsq(design, got)
 
     def test_repeated_patterns_shrink_the_table(self):
         data = Dataset({

@@ -22,8 +22,7 @@ from dummyreg import (
 )
 from dummyreg.dataset import _NUMBER_RE, MISSING_TOKENS
 from dummyreg.errors import EmptyInput, MalformedCsv, RaggedRow
-from dummyreg.formula import format_number
-from dummyreg.oracle import random_one_factor, random_two_factor  # noqa: F401
+from dummyreg.oracle import random_one_factor  # noqa: F401
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -46,17 +45,6 @@ def interaction_design(spread: float = 0.3):
                           refs={"edu": "low"})
     means = cell_means(data, ["female", "edu"], "bmi")
     return design, data, means
-
-
-def row_cell_key(data: Dataset, factors, i: int) -> tuple[str, ...]:
-    key = []
-    for name in factors:
-        column = data[name]
-        if isinstance(column, CategoricalColumn):
-            key.append(column.levels[column.codes[i]])
-        else:
-            key.append(format_number(column.values[i]))
-    return tuple(key)
 
 
 def dataset_csv(data: Dataset) -> str:
