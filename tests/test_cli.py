@@ -301,6 +301,14 @@ class TestExitCodes:
         )
         assert code == 3 and "d2" in err
 
+    def test_undecodable_csv(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"bmi,g\n1.5,a\n2.5,caf\xe9\n3.0,b\n")
+        code, out, err = run_cli(
+            capsys, "fit", "--data", str(path), "--formula", "bmi ~ g")
+        assert (code, out) == (3, "")
+        assert err == "error: malformed CSV at line 3: byte 0xe9 is not UTF-8\n"
+
     def test_ragged_csv(self, capsys, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("a,y\n1,2\n3\n")

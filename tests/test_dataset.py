@@ -1,9 +1,12 @@
 """CSV ingestion, column typing, level management, listwise deletion."""
 
+import collections
+import csv
 import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -282,6 +285,231 @@ class TestBlockBoundaries:
         assert data["g"].levels == ("x", "y", "c", "b")
         order = {"x": 0, "y": 1, "c": 2, "b": 3}
         assert data["g"].codes.tolist() == [order[r.strip()] for r in rows]
+
+
+# Quote-free cells, which the fast reader parses: padding that strips
+# away, every missing form, float() spellings that are not plain numbers
+# or that numpy reads as not finite, and a comment character.
+PLAIN_CELLS = ["a", " a", "a\x0b", "\xa0a", "b", "", " ", "NA", " NA ",
+               "\xa0NA", "1", " 1 ", "\x0b2", "2\xa0", "-0", ".5", "5.", "+3",
+               "1e5", "inf", "nan", "1e500", "1_000", "0x10", "١٢", "#", "a#b"]
+
+
+@st.composite
+def plain_csv_cases(draw):
+    """Random quote-free CSV text, now and then with CRLF line ends, a
+    blank line or a trailing comma, plus a random schema."""
+    names = draw(st.lists(st.sampled_from(["g", "x", " y", "z"]),
+                          min_size=1, max_size=3, unique_by=str.strip))
+    pools = [draw(st.lists(st.sampled_from(PLAIN_CELLS), min_size=1, max_size=4,
+                           unique=True)) for _ in names]
+    n_rows = draw(st.integers(min_value=0, max_value=12))
+    lines = [",".join(names)]
+    for _ in range(n_rows):
+        line = ",".join(draw(st.sampled_from(pool)) for pool in pools)
+        flaw = draw(st.integers(min_value=0, max_value=40))
+        if flaw == 0:
+            line += ","
+        elif flaw == 1:
+            lines.append("")
+        lines.append(line)
+    newline = "\r\n" if draw(st.integers(min_value=0, max_value=9)) == 0 else "\n"
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+    columns = {}
+    for name, pool in zip(names, pools):
+        kind = draw(st.sampled_from(["default", "numeric", "categorical", "pinned"]))
+        if kind == "pinned":
+            choices = sorted({c.strip() for c in pool} | {"zz"})
+            pinned = draw(st.lists(st.sampled_from(choices), unique=True))
+            columns[name.strip()] = ColumnSchema("categorical", tuple(pinned))
+        elif kind != "default":
+            columns[name.strip()] = ColumnSchema(kind)
+    return text, Schema(columns)
+
+
+def _assert_same(got, want):
+    """got and want are the same error, or Datasets with equal columns."""
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, Dataset)
+    assert list(got.columns) == list(want.columns)
+    for name, col in want.columns.items():
+        other = got[name]
+        assert type(other) is type(col)
+        if isinstance(col, CategoricalColumn):
+            assert (other.levels, other.codes.tolist(), other.pinned) == (
+                col.levels, col.codes.tolist(), col.pinned)
+        else:
+            assert other.values.tobytes() == col.values.tobytes()
+
+
+def _read_traced(reader, text, schema=None, chunk_chars=None, block_rows=None):
+    """reader's result or error, and whether the fast reader gave it."""
+    decided = []
+    fast = dataset._read_fast
+
+    def spy(source, schema):
+        decided.append(True)  # stays so if the fast reader raises
+        data = fast(source, schema)
+        decided[-1] = data is not None
+        return data
+
+    with mock.patch.object(dataset, "_read_fast", spy), \
+            mock.patch.object(dataset, "_CHUNK_CHARS", chunk_chars or dataset._CHUNK_CHARS), \
+            mock.patch.object(dataset, "_BLOCK_ROWS", block_rows or dataset._BLOCK_ROWS):
+        got = _read_or_error(reader, text, schema)
+    return got, decided == [True]
+
+
+def _read_bytes(text, schema):
+    return read_csv(io.BytesIO(text.encode("utf-8")), schema)
+
+
+class TestFastReader:
+    def test_matches_reference_across_chunks(self):
+        fast = collections.Counter()
+
+        @settings(max_examples=400, deadline=None)
+        @given(plain_csv_cases(), st.sampled_from([1, 2, 3, dataset._BLOCK_ROWS]),
+               st.sampled_from([1, 7, 64, dataset._CHUNK_CHARS]))
+        def check(case, block_rows, chunk_chars):
+            text, schema = case
+            want = _read_or_error(reference_read_csv, text, schema)
+            for reader in (read_csv_text, _read_bytes):
+                got, by_fast = _read_traced(reader, text, schema, chunk_chars, block_rows)
+                _assert_same(got, want)
+                fast[by_fast] += 1
+
+        check()
+        # Otherwise the test could pass by always falling back.
+        assert fast[True] >= 0.2 * sum(fast.values())
+
+    N = 40  # rows, so that a 16-character chunk leaves the first ones behind
+
+    def _rows(self, row, last, header="x,g"):
+        return header + "\n" + row * self.N + last
+
+    @pytest.mark.parametrize("text", [
+        pytest.param('g,x\n"a",1\nb,2\n', id="quote"),
+        pytest.param("g,x\r\na,1\r\nb,2\r\n", id="carriage-return"),
+        pytest.param("g,x\na\0,1\nb,2\n", id="nul"),
+        pytest.param("g,x\na,1\n\nb,2\n", id="blank-line"),
+        pytest.param("g,x\na,1\nb,2\n\n", id="blank-last-line"),
+        pytest.param("g,g\n1,2\n", id="duplicate-name"),
+        pytest.param("g, \n1,2\n", id="empty-name"),
+        pytest.param("g,x\n", id="no-body"),
+        pytest.param("g,x", id="no-newline-after-header"),
+        pytest.param("", id="empty"),
+        pytest.param("x,g\n" + "1,a\n" * N + "1,a,2\n", id="ragged-after-first-chunk"),
+        pytest.param("x,g\n" + "1,a\n" * N + "inf,a\n", id="inf-is-categorical"),
+        pytest.param("x,g\n" + "1,a\n" * N + "nan,a\n", id="nan-is-categorical"),
+        pytest.param("x,g\n" + "1,a\n" * N + "1e500,a\n", id="overflow-is-inf"),
+        pytest.param("x,g\n" + "1,a\n" * N + "b,a\n", id="numeric-then-text"),
+    ])
+    def test_strict_reader_decides(self, text):
+        want = _read_or_error(reference_read_csv, text, None)
+        got, by_fast = _read_traced(read_csv_text, text, chunk_chars=16)
+        _assert_same(got, want)
+        assert not by_fast
+
+    def test_numeric_schema_error_names_the_line(self):
+        text = "x,g\n" + "1,a\n" * self.N + "oops,a\n"
+        schema = Schema({"x": ColumnSchema("numeric")})
+        got, by_fast = _read_traced(read_csv_text, text, schema, chunk_chars=16)
+        assert got == (MalformedCsv, f"malformed CSV at line {self.N + 2}: "
+                                     "column 'x': 'oops' is not a number")
+        assert not by_fast
+
+    def test_over_long_line(self):
+        text = "g,x\n" + "a,1\n" * self.N + "abcdefghijklmnop,1\n"
+        limit = csv.field_size_limit(12)
+        try:
+            want = _read_or_error(reference_read_csv, text, None)
+            got, by_fast = _read_traced(read_csv_text, text, chunk_chars=16)
+        finally:
+            csv.field_size_limit(limit)
+        assert want[0] is MalformedCsv and "field limit" in want[1]
+        assert (got, by_fast) == (want, False)
+
+    def test_row_count_short_of_line_count(self):
+        # loadtxt skips lines it deems empty; a chunk that comes back
+        # short must go to the strict reader.
+        text = "x,g\n1,a\n2,b\n"
+        loadtxt = dataset._loadtxt
+        with mock.patch.object(dataset, "_loadtxt",
+                               lambda lines, dtype: loadtxt(lines, dtype)[:-1]):
+            got, by_fast = _read_traced(read_csv_text, text)
+        _assert_same(got, reference_read_csv(text))
+        assert not by_fast
+
+    @pytest.mark.parametrize("last", ["NA,b\n", ",b\n", " 2 ,b\n", "\xa02,b"])
+    def test_numeric_column_stays_fast(self, last):
+        # The missing or padded cell comes after the rows that set the
+        # column's type, so its chunk is parsed again as text.
+        text = "x,g\n" + "1,a\n" * self.N + last
+        got, by_fast = _read_traced(read_csv_text, text, chunk_chars=16)
+        _assert_same(got, reference_read_csv(text))
+        assert isinstance(got["x"], NumericColumn)
+        assert by_fast
+
+    def test_no_loadtxt_warning_leaks(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_csv_text("x,g\n1,a\n")["x"].values.tolist() == [1.0]
+            with pytest.raises(RaggedRow):
+                read_csv_text("x,g\n1,a\n\n2,b\n")
+
+
+class TestDecoding:
+    @pytest.mark.parametrize("head", ["g,x\n", 'g,x\n"a",1\n'], ids=["fast", "strict"])
+    @pytest.mark.parametrize("at", [1, 30])
+    def test_undecodable_byte_names_its_line(self, tmp_path, head, at):
+        raw = head.encode() + b"a,1\n" * at + b"caf\xe9,2\n" + b"a,1\n" * 30
+        line = head.count("\n") + at + 1
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(raw)
+        with mock.patch.object(dataset, "_CHUNK_CHARS", 16):
+            for source in (str(path), io.BytesIO(raw)):
+                with pytest.raises(MalformedCsv) as exc:
+                    read_csv(source)
+                assert str(exc.value) == (
+                    f"malformed CSV at line {line}: byte 0xe9 is not UTF-8")
+
+    def test_stream_that_cannot_seek(self):
+        def pipe(raw):
+            read_end, write_end = os.pipe()
+            os.write(write_end, raw)
+            os.close(write_end)
+            return open(read_end, "rb")
+
+        text = "x,g\n1,a\nNA,b\n2.5,a\n"
+        with pipe(text.encode()) as fh:
+            assert not fh.seekable()
+            _assert_same(read_csv(fh), reference_read_csv(text))
+        with pipe(b"x,g\n1,a\n2,caf\xe9\n") as fh, pytest.raises(MalformedCsv) as exc:
+            read_csv(fh)
+        assert str(exc.value) == "malformed CSV at line 3: byte 0xe9 is not UTF-8"
+
+    def test_path_is_read_as_utf8_under_any_locale(self, tmp_path):
+        path = tmp_path / "cafe.csv"
+        path.write_bytes("g,y\ncafé,1\nb,2\n".encode("utf-8"))
+        probe = (
+            "import locale, sys\n"
+            "from dummyreg import read_csv\n"
+            "assert locale.getpreferredencoding(False).lower() not in ('utf-8', 'utf8')\n"
+            "with open(sys.argv[1], 'rb') as fh:\n"
+            "    from_stream = read_csv(fh)['g'].levels\n"
+            "assert read_csv(sys.argv[1])['g'].levels == from_stream == ('caf\\xe9', 'b')\n"
+        )
+        src = str(Path(dataset.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, LC_ALL="en_US.ISO-8859-1")
+        env.pop("PYTHONUTF8", None)
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-c", probe, str(path)],
+            env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestLevels:
