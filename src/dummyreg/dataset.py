@@ -10,6 +10,7 @@ keeps its full vocabulary even when some level has no observed rows.
 from __future__ import annotations
 
 import array
+import bisect
 import csv
 import functools
 import io
@@ -63,6 +64,10 @@ class NumericColumn:
     def missing(self) -> np.ndarray:
         return np.isnan(self.values)
 
+    @property
+    def has_missing(self) -> bool:
+        return bool(np.isnan(self.values).any())
+
 
 @dataclass(frozen=True)
 class CategoricalColumn:
@@ -88,13 +93,29 @@ class CategoricalColumn:
         return self.codes == -1
 
     @property
+    def has_missing(self) -> bool:
+        return int(self.counts.sum()) < len(self.codes)
+
+    @functools.cached_property
     def counts(self) -> np.ndarray:
-        """Observed rows per level, in vocabulary order."""
-        observed = self.codes[self.codes >= 0]
-        return np.bincount(observed, minlength=len(self.levels))
+        """Observed rows per level, in vocabulary order, read-only.
+
+        Counted once per column: the codes cannot change.
+        """
+        observed = self.codes
+        if observed.size and observed.min() < 0:
+            observed = observed[observed >= 0]
+        return _seed(self, "counts", np.bincount(observed, minlength=len(self.levels)))
 
 
 Column = Union[NumericColumn, CategoricalColumn]
+
+
+def _seed(owner, name: str, value: np.ndarray) -> np.ndarray:
+    """Make value read-only and store it as owner's cached property name."""
+    value.flags.writeable = False
+    owner.__dict__[name] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -186,6 +207,32 @@ class _Codebook:
         return list(distinct), code_at_row[np.frombuffer(self.rows, dtype=np.int64)]
 
 
+class _RowLines:
+    """The physical line each data row starts on, counted as csv counts.
+
+    A row takes one line unless a quoted cell in it holds line breaks.
+    Only blocks of rows that took more lines than rows are scanned, and
+    only their rows of more than one line are kept.
+    """
+
+    def __init__(self, first: int):
+        self.first = first  # the line data row 0 starts on
+        self.rows: list[int] = []  # rows of more than one line, ascending
+        self.extra: list[int] = []  # lines past one a row, summed through it
+
+    def add(self, start: int, block: list[list[str]]) -> None:
+        """Record the rows from row start on, if they take extra lines."""
+        for i, row in enumerate(block):
+            breaks = sum(map(_line_breaks, row))
+            if breaks:
+                self.rows.append(start + i)
+                self.extra.append(breaks + (self.extra[-1] if self.extra else 0))
+
+    def line(self, row: int) -> int:
+        before = bisect.bisect_left(self.rows, row)
+        return self.first + row + (self.extra[before - 1] if before else 0)
+
+
 def _categorical(
     distinct: list,
     codes: np.ndarray,
@@ -216,15 +263,17 @@ def _number(value: str) -> float | None:
     return float(value) if _NUMBER_RE.match(value) else None
 
 
-def _read_column(name: str, book: _Codebook, spec: ColumnSchema) -> Column:
+def _read_column(
+    name: str, book: _Codebook, spec: ColumnSchema, lines: _RowLines
+) -> Column:
     distinct, codes = book.factorize(strip=True)
     if spec.kind == "categorical":
         return _categorical(distinct, codes, spec.levels, spec.levels is not None)
     numbers = [_number(value) for value in distinct]
     bad = [i for i, x in enumerate(numbers) if x is None]
     if spec.kind == "numeric" and bad:
-        row = int(np.argmax(codes == bad[0])) + 2
-        raise MalformedCsv(row, f"column {name!r}: {distinct[bad[0]]!r} is not a number")
+        line = lines.line(int(np.argmax(codes == bad[0])))
+        raise MalformedCsv(line, f"column {name!r}: {distinct[bad[0]]!r} is not a number")
     if spec.kind == "numeric" or (
         not bad and any(value not in MISSING_TOKENS for value in distinct)
     ):
@@ -286,8 +335,10 @@ def _undecodable(raw: IO[bytes]) -> MalformedCsv:
     raise AssertionError("no undecodable byte")
 
 
-def _line_breaks(raw: bytes) -> int:
-    return raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
+def _line_breaks(text: str | bytes) -> int:
+    """Line breaks in text: LF, CR and CRLF, as newline="" reads them."""
+    lf, cr = ("\n", "\r") if isinstance(text, str) else (b"\n", b"\r")
+    return text.count(lf) + text.count(cr) - text.count(cr + lf)
 
 
 def _read_fast(source: IO[str], schema: Schema) -> Dataset | None:
@@ -313,8 +364,10 @@ def _read_fast(source: IO[str], schema: Schema) -> Dataset | None:
         return None
     if body is None:
         return None
+    lines = _RowLines(2)  # no quotes, so one line a row
     return Dataset({
-        name: NumericColumn(values) if book is None else _read_column(name, book, spec)
+        name: NumericColumn(values) if book is None
+        else _read_column(name, book, spec, lines)
         for name, spec, book, values in zip(names, specs, *body)
     })
 
@@ -440,15 +493,19 @@ def _read_strict(source: IO[str], schema: Schema) -> Dataset:
         header = next(reader, None)
         width = len(header or ())
         books = [_Codebook() for _ in range(width)]
+        lines = _RowLines(reader.line_num + 1)
         while block := list(itertools.islice(reader, _BLOCK_ROWS)):
             if ragged is None:
+                # More lines than rows: some quoted cell held a line break.
+                if reader.line_num - lines.line(n_rows) + 1 > len(block):
+                    lines.add(n_rows, block)
                 widths = list(map(len, block))
                 if widths.count(width) == len(block):
                     for book, cells in zip(books, zip(*block)):
                         book.add(cells)
                 else:
                     i = next(j for j, got in enumerate(widths) if got != width)
-                    ragged = RaggedRow(n_rows + 2 + i, widths[i], width)
+                    ragged = RaggedRow(lines.line(n_rows + i), widths[i], width)
             n_rows += len(block)
     except csv.Error as exc:
         raise MalformedCsv(reader.line_num, str(exc)) from None
@@ -466,13 +523,13 @@ def _read_strict(source: IO[str], schema: Schema) -> Dataset:
     if ragged is not None:
         raise ragged
     return Dataset({
-        name: _read_column(name, book, schema.for_name(name))
+        name: _read_column(name, book, schema.for_name(name), lines)
         for name, book in zip(header, books)
     })
 
 
 def read_csv_text(text: str, schema: Schema | None = None) -> Dataset:
-    return read_csv(io.StringIO(text), schema)
+    return read_csv(io.StringIO(text, newline=""), schema)
 
 
 def listwise_delete(data: Dataset, variables: Iterable[str]) -> Dataset:
@@ -480,34 +537,50 @@ def listwise_delete(data: Dataset, variables: Iterable[str]) -> Dataset:
 
     Unpinned categorical columns then shed levels that no longer occur,
     keeping the survivors in their original order; pinned columns keep
-    their full vocabulary.
+    their full vocabulary. Each kept categorical's level counts are its
+    source's less those of the dropped rows.
     """
     names = list(variables)
     keep = np.ones(data.n_rows, dtype=bool)
     for name in names:
-        keep &= ~data[name].missing
+        column = data[name]
+        if column.has_missing:
+            keep &= ~column.missing
     if not keep.any():
         raise EmptyAfterDeletion()
     if keep.all():
         return data
 
+    dropped = np.flatnonzero(~keep)
     columns: dict[str, Column] = {}
     for name, col in data.columns.items():
         if isinstance(col, NumericColumn):
             columns[name] = NumericColumn(col.values[keep])
         else:
-            codes = col.codes[keep]
-            if col.pinned:
-                columns[name] = CategoricalColumn(col.levels, codes, pinned=True)
-            else:
-                k = len(col.levels)
-                present = np.flatnonzero(np.bincount(codes[codes >= 0], minlength=k))
-                # One slot past the levels maps the missing code -1 to -1.
-                remap = np.full(k + 1, -1, dtype=np.int64)
-                remap[present] = np.arange(present.size)
-                new_levels = tuple(col.levels[i] for i in present)
-                columns[name] = CategoricalColumn(new_levels, remap[codes])
+            columns[name] = _kept_categorical(col, keep, dropped)
     return Dataset(columns)
+
+
+def _kept_categorical(
+    col: CategoricalColumn, keep: np.ndarray, dropped: np.ndarray
+) -> CategoricalColumn:
+    """col's kept rows, with the levels they no longer use shed unless
+    col is pinned, and their counts cached."""
+    lost = col.codes[dropped]
+    counts = col.counts - np.bincount(lost[lost >= 0], minlength=len(col.levels))
+    codes = col.codes[keep]
+    if col.pinned or counts.all():
+        kept = CategoricalColumn(col.levels, codes, pinned=col.pinned)
+    else:
+        present = np.flatnonzero(counts)
+        # One slot past the levels maps the missing code -1 to -1.
+        remap = np.full(len(col.levels) + 1, -1, dtype=np.int64)
+        remap[present] = np.arange(present.size)
+        new_levels = tuple(col.levels[i] for i in present)
+        kept = CategoricalColumn(new_levels, remap[codes])
+        counts = counts[present]
+    _seed(kept, "counts", counts)
+    return kept
 
 
 def levels(data: Dataset, name: str) -> tuple[str, ...]:

@@ -18,7 +18,9 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .dataset import _NUMBER_RE, CategoricalColumn, Column, Dataset, NumericColumn
+from .dataset import (
+    _NUMBER_RE, CategoricalColumn, Column, Dataset, NumericColumn, _seed,
+)
 from .errors import (
     EncodingConflict,
     IncompleteProfile,
@@ -146,6 +148,15 @@ class DesignMatrix:
         values.flags.writeable = False
         return values
 
+    @cached_property
+    def cell_counts(self) -> np.ndarray:
+        """Data rows per table row, read-only."""
+        if self.cell_index is None:
+            counts = np.ones(len(self.cell_table), dtype=np.intp)
+        else:
+            counts = np.bincount(self.cell_index, minlength=len(self.cell_table))
+        return _seed(self, "cell_counts", counts)
+
     @property
     def n_rows(self) -> int:
         return self.response.shape[0]
@@ -196,7 +207,7 @@ def encode_categorical(
     column order. Zero-count levels are an error under weighted coding
     and a warning otherwise.
     """
-    if column.missing.any():
+    if column.has_missing:
         raise MissingValuesPresent([name])
     info = CategoricalInfo(
         name, scheme, column.levels, tuple(int(c) for c in column.counts)
@@ -392,22 +403,32 @@ def _encode(
 # many times the row count, and by sorting past that.
 _KEY_SPAN = 4
 
+# Rows renumbered at a time, so that the pattern key is rewritten in
+# place and each gather's temporaries stay in cache. On 1e6 rows this
+# took 5.6 ms against 9.0 ms for whole-array gathers (numpy 2.4).
+_ROW_BLOCK = 1 << 16
 
-def _compact(key: np.ndarray, size: int) -> tuple[np.ndarray, int]:
+
+def _compact(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Renumber keys in [0, size) to the m occupied ones, in ascending
-    order; returns the new keys and m."""
+    order, in place when counting; returns the new keys and the m keys'
+    row counts."""
     if size > _KEY_SPAN * key.size:
-        occupied, key = np.unique(key, return_inverse=True)
-        return key.reshape(-1), occupied.size
-    occupied = np.flatnonzero(np.bincount(key, minlength=size))
+        _, key, counts = np.unique(key, return_inverse=True, return_counts=True)
+        return key.reshape(-1), counts
+    counts = np.bincount(key, minlength=size)
+    occupied = np.flatnonzero(counts)
     lookup = np.empty(size, dtype=np.intp)
     lookup[occupied] = np.arange(occupied.size)
-    return lookup[key], occupied.size
+    for start in range(0, key.size, _ROW_BLOCK):
+        block = key[start:start + _ROW_BLOCK]
+        block[:] = lookup[block]
+    return key, counts[occupied]
 
 
 def _occupied_cells(
     columns: Mapping[str, Column], n: int
-) -> tuple[Mapping[str, Column], np.ndarray | None, int]:
+) -> tuple[Mapping[str, Column], np.ndarray | None, np.ndarray | None]:
     """The rows to encode: one per occupied covariate pattern when some
     rows share one, else all n.
 
@@ -421,10 +442,10 @@ def _occupied_cells(
     all-categorical design is keyed in O(n); only numeric columns with
     very many distinct values make the compaction sort. Returns the
     columns to encode (each pattern's values, from one of its rows),
-    the n-row pattern index and m; when all n rows differ it returns
-    the columns as given, no index and n.
+    the n-row pattern index and the m patterns' row counts; when all n
+    rows differ it returns the columns as given and no index or counts.
     """
-    key, size = np.zeros(n, dtype=np.intp), 1
+    key, size = None, 1
     for column in columns.values():
         if isinstance(column, CategoricalColumn):
             digit, k = column.codes, len(column.levels)
@@ -433,22 +454,33 @@ def _occupied_cells(
                                         return_inverse=True)
             digit, k = digit.reshape(-1), distinct.size
             if k == n:
-                return columns, None, n
+                return columns, None, None
+        if key is None:
+            key, size = digit.astype(np.intp), k
+            continue
         if size * k > _KEY_SPAN * n:
-            key, size = _compact(key, size)
-        key, size = key * k + digit, size * k
-    key, m = _compact(key, size)
+            key, counts = _compact(key, size)
+            size = counts.size
+        key *= k
+        key += digit
+        size *= k
+    if key is None:
+        key = np.zeros(n, dtype=np.intp)
+    key, counts = _compact(key, size)
+    m = counts.size
     if m >= n:
-        return columns, None, n
-    first = np.empty(m, dtype=np.intp)
-    first[key] = np.arange(n)  # any row of a pattern stands for all of them
+        return columns, None, None
+    first = np.empty(m, dtype=np.intp)  # any row of a pattern stands for all
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n)
+        first[key[start:stop]] = np.arange(start, stop)
     patterns: dict[str, Column] = {}
     for name, column in columns.items():
         if isinstance(column, CategoricalColumn):
             patterns[name] = CategoricalColumn(column.levels, column.codes[first])
         else:
             patterns[name] = NumericColumn(column.values[first])
-    return patterns, key, m
+    return patterns, key, counts
 
 
 def build_design(
@@ -473,7 +505,7 @@ def build_design(
     if not isinstance(response_col, NumericColumn):
         raise ResponseNotNumeric(ast.response)
     used = [ast.response] + ast.variables()
-    incomplete = [name for name in used if data[name].missing.any()]
+    incomplete = [name for name in used if data[name].has_missing]
     if incomplete:
         raise MissingValuesPresent(incomplete)
     for name in refs:
@@ -499,11 +531,15 @@ def build_design(
 
     contrasts, terms, labels = _layout(ast, categoricals)
     _check_log_domain(terms, contrasts, columns)
-    columns, cell, rows = _occupied_cells(columns, data.n_rows)
+    columns, cell, counts = _occupied_cells(columns, data.n_rows)
+    rows = data.n_rows if counts is None else counts.size
     table = _encode(terms, contrasts, columns, rows, len(labels))
     info = DesignInfo(ast, default_scheme, categoricals)
-    return DesignMatrix(table, labels, response_col.values, ast.response, info,
-                        cell_index=cell)
+    design = DesignMatrix(table, labels, response_col.values, ast.response, info,
+                          cell_index=cell)
+    if counts is not None:
+        _seed(design, "cell_counts", counts)
+    return design
 
 
 def variable_levels(context, name: str) -> tuple[str, ...]:

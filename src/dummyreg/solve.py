@@ -139,7 +139,7 @@ def fit(design: DesignMatrix) -> FitResult:
         raise TooFewRows(n, p)
     cell = design.cell_index if design.cell_index is not None else np.arange(n)
 
-    counts = np.bincount(cell, minlength=len(table))
+    counts = design.cell_counts
     weight = np.sqrt(counts)
     # A table row that no data row uses gets weight 0, not 0/0.
     target = (np.bincount(cell, weights=y, minlength=len(table))

@@ -65,13 +65,18 @@ def dataset_csv(data: Dataset) -> str:
 def reference_read_csv(text: str, schema: Schema | None = None) -> Dataset:
     """The per-cell CSV reader that read_csv must agree with.
 
-    It tokenizes the whole text, then strips, types and codes every cell
-    on its own, in row order.
+    It tokenizes the whole text, noting the physical line each row
+    starts on, then strips, types and codes every cell on its own, in
+    row order.
     """
     schema = schema or Schema()
-    reader = csv.reader(io.StringIO(text), strict=True)
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    rows, starts, end = [], [], 0
     try:
-        rows = list(reader)
+        for row in reader:
+            rows.append(row)
+            starts.append(end + 1)
+            end = reader.line_num
     except csv.Error as exc:
         raise MalformedCsv(reader.line_num, str(exc)) from None
     if not rows:
@@ -87,21 +92,22 @@ def reference_read_csv(text: str, schema: Schema | None = None) -> Dataset:
     body = rows[1:]
     if not body:
         raise EmptyInput()
-    for offset, row in enumerate(body, start=2):
+    lines = starts[1:]
+    for line, row in zip(lines, body):
         if len(row) != len(header):
-            raise RaggedRow(offset, len(row), len(header))
+            raise RaggedRow(line, len(row), len(header))
 
     cells_by_col = [[row[j].strip() for row in body] for j in range(len(header))]
     columns = {}
     for name, cells in zip(header, cells_by_col):
         spec = schema.for_name(name)
         if spec.kind == "numeric":
-            columns[name] = _reference_numeric(name, cells)
+            columns[name] = _reference_numeric(name, cells, lines)
         elif spec.kind == "categorical":
             columns[name] = _reference_categorical(
                 cells, spec.levels, spec.levels is not None)
         elif _reference_looks_numeric(cells):
-            columns[name] = _reference_numeric(name, cells)
+            columns[name] = _reference_numeric(name, cells, lines)
         else:
             columns[name] = _reference_categorical(cells, None, False)
     return Dataset(columns)
@@ -118,7 +124,7 @@ def _reference_looks_numeric(cells: list[str]) -> bool:
     return seen_value
 
 
-def _reference_numeric(name: str, cells: list[str]) -> NumericColumn:
+def _reference_numeric(name: str, cells: list[str], lines: list[int]) -> NumericColumn:
     values = np.empty(len(cells), dtype=np.float64)
     for i, cell in enumerate(cells):
         if cell in MISSING_TOKENS:
@@ -126,7 +132,7 @@ def _reference_numeric(name: str, cells: list[str]) -> NumericColumn:
         elif _NUMBER_RE.match(cell):
             values[i] = float(cell)
         else:
-            raise MalformedCsv(i + 2, f"column {name!r}: {cell!r} is not a number")
+            raise MalformedCsv(lines[i], f"column {name!r}: {cell!r} is not a number")
     return NumericColumn(values)
 
 
