@@ -49,6 +49,18 @@ def _pair(text: str) -> tuple[str, str]:
     return name, value
 
 
+def _places(text: str) -> int:
+    try:
+        places = int(text)
+    except ValueError:
+        places = -1
+    if places < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return places
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dummyreg",
@@ -70,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if with_output:
             p.add_argument("--output", choices=("text", "json"), default="text")
-            p.add_argument("--rounding", type=int, default=2)
+            p.add_argument("--rounding", type=_places, default=2, metavar="N")
 
     p_fit = sub.add_parser("fit", help="fit a model and print the table")
     add_model_flags(p_fit)

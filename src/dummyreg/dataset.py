@@ -288,8 +288,9 @@ def read_csv(source: Union[str, IO[str]], schema: Schema | None = None) -> Datas
     The first row is the header. Cells are stripped; missing cells are
     then "" or "NA", exactly. Untyped columns are numeric when every
     non-missing cell parses as a number, else categorical with levels in
-    first-appearance order. Bytes that are not UTF-8 raise MalformedCsv
-    at the line of the first of them.
+    first-appearance order. A path or binary stream may start with a
+    UTF-8 byte-order mark, which is skipped. Bytes that are not UTF-8
+    raise MalformedCsv at the line of the first of them.
     """
     if isinstance(source, str):
         with open(source, "rb") as fh:
@@ -300,7 +301,7 @@ def read_csv(source: Union[str, IO[str]], schema: Schema | None = None) -> Datas
             source = io.BytesIO(source.read())
         start = source.tell()
         # Detached afterwards, so the caller's stream stays open.
-        text = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
         try:
             return read_csv(text, schema)
         except UnicodeDecodeError:

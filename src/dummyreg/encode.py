@@ -215,13 +215,20 @@ def encode_categorical(
     return _contrast_matrix(info)[column.codes], info.kept
 
 
-def apply_transform(values: np.ndarray, ref: VarRef) -> np.ndarray:
-    """Apply a factor's transform chain (log, then centering) to values."""
+def apply_transform(
+    values: np.ndarray, ref: VarRef, *, index: np.ndarray | None = None
+) -> np.ndarray:
+    """Apply a factor's transform chain (log, then centering) to values.
+
+    ``index`` maps data rows to entries of ``values``, so that the log
+    of a non-positive value raises NonPositiveLog at the first data row
+    holding one.
+    """
     out = np.asarray(values, dtype=np.float64)
     if ref.log:
         bad = out <= 0
         if bad.any():
-            raise NonPositiveLog(int(np.argmax(bad)))
+            raise NonPositiveLog(int(np.argmax(bad if index is None else bad[index])))
         out = np.log(out)
     if ref.center is not None:
         out = out - ref.center.value
@@ -231,8 +238,7 @@ def apply_transform(values: np.ndarray, ref: VarRef) -> np.ndarray:
 def _is_dummy_passthrough(ref: VarRef, values: np.ndarray) -> bool:
     if ref.log or ref.center is not None:
         return False
-    observed = values[~np.isnan(values)]
-    return bool(np.isin(observed, (0.0, 1.0)).all())
+    return bool(np.isin(values, (0.0, 1.0)).all())
 
 
 def _numeric_as_categorical(values: np.ndarray) -> CategoricalColumn:
@@ -354,34 +360,22 @@ def _layout(
     return contrasts, terms, tuple(labels)
 
 
-def _check_log_domain(
-    terms: Iterable[Term],
-    contrasts: Mapping[str, np.ndarray],
-    columns: Mapping[str, Column],
-) -> None:
-    """Raise NonPositiveLog at the first row that a log factor, taken in
-    encoding order, cannot take, as encoding these columns would."""
-    for term in terms:
-        for ref in term.factors:
-            if ref.log and ref.name not in contrasts:
-                bad = columns[ref.name].values <= 0
-                if bad.any():
-                    raise NonPositiveLog(int(np.argmax(bad)))
-
-
 def _encode(
     terms: Iterable[Term],
     contrasts: Mapping[str, np.ndarray],
     columns: Mapping[str, Column],
     n: int,
     p: int,
+    *,
+    index: np.ndarray | None = None,
 ) -> np.ndarray:
     """Expand the terms into the n x p design block of the n rows that
     ``columns`` hold: one per occupied pattern, or one profile.
 
     Each term folds its factors left to right, from 1.0, row by row: a
     categorical multiplies in its contrast rows, a numeric factor its
-    transformed values.
+    transformed values. ``index`` is the data rows' pattern index, which
+    a log error reads to name a data row.
     """
     out = np.empty((n, p))
     start = 0
@@ -390,8 +384,8 @@ def _encode(
         for ref in term.factors:
             column = columns[ref.name]
             matrix = contrasts.get(ref.name)
-            rows = (apply_transform(column.values, ref)[:, None] if matrix is None
-                    else matrix[column.codes])
+            rows = (apply_transform(column.values, ref, index=index)[:, None]
+                    if matrix is None else matrix[column.codes])
             block = (block[:, :, None] * rows[:, None, :]).reshape(n, -1)
         stop = start + block.shape[1]
         out[:, start:stop] = block
@@ -516,6 +510,7 @@ def build_design(
     for name in refs:
         if name in ast.variables() and name not in categoricals:
             raise NotCategorical(name)
+    columns, cell, counts = _occupied_cells(columns, data.n_rows)
     for term in ast.terms:
         if term.kind != "interaction":
             continue
@@ -530,10 +525,8 @@ def build_design(
             )
 
     contrasts, terms, labels = _layout(ast, categoricals)
-    _check_log_domain(terms, contrasts, columns)
-    columns, cell, counts = _occupied_cells(columns, data.n_rows)
     rows = data.n_rows if counts is None else counts.size
-    table = _encode(terms, contrasts, columns, rows, len(labels))
+    table = _encode(terms, contrasts, columns, rows, len(labels), index=cell)
     info = DesignInfo(ast, default_scheme, categoricals)
     design = DesignMatrix(table, labels, response_col.values, ast.response, info,
                           cell_index=cell)

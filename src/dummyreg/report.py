@@ -11,7 +11,7 @@ output is full precision with a stable key order.
 from __future__ import annotations
 
 import math
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import Mapping
 
 from .solve import FitResult, one_tailed_p
@@ -21,11 +21,16 @@ P_DISPLAY_FLOOR = 0.01
 
 def format_value(value: float, places: int = 2) -> str:
     """Fixed-point text, ties away from zero, no leading zero below 1."""
+    if places < 0:
+        raise ValueError(f"places must be >= 0, got {places}")
     value = float(value)
     if not math.isfinite(value):
         return str(value)
+    exact = Decimal(repr(value))
+    # Precise enough for every digit of the result, one more for a carry.
+    context = Context(prec=max(exact.adjusted(), 0) + places + 2)
     quantum = Decimal(1).scaleb(-places)
-    text = str(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    text = f"{exact.quantize(quantum, rounding=ROUND_HALF_UP, context=context):f}"
     if text.startswith("0."):
         return text[1:]
     if text.startswith("-0."):

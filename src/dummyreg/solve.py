@@ -167,7 +167,9 @@ def fit(design: DesignMatrix) -> FitResult:
 
     fitted = (table @ coefficients)[cell]
     residuals = y - fitted
-    rss = float(residuals @ residuals)
+    # Not a BLAS dot, whose sum order, and so its last bits, follow the
+    # thread count.
+    rss = float(np.einsum("i,i->", residuals, residuals))
     df = n - p
     sigma2 = rss / df
 

@@ -3,13 +3,21 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dummyreg import build_design, parse_formula, read_csv, synthesize
 from dummyreg.cli import main
 
 from util import dataset_csv, load_spec
+
+CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1)
 
 TWO_GROUP_GOLDEN = (
     "             coefficients  standard error  t-value  p-value (2-tailed)\n"
@@ -103,6 +111,48 @@ class TestFit:
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
         assert first == second
+
+    @pytest.mark.skipif(CPUS < 2, reason="needs 2 CPUs")
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        n = 120_000
+        rng = np.random.default_rng(7)
+        edu = np.array(["low", "middle", "high"])[rng.integers(0, 3, n)]
+        female = rng.integers(0, 2, n)
+        age = rng.integers(18, 80, n)
+        bmi = 22 + female + np.log(age) + rng.normal(size=n)
+        path = tmp_path / "survey.csv"
+        path.write_text("bmi,female,edu,age\n" + "".join(
+            f"{b!r},{f},{e},{a}\n"
+            for b, f, e, a in zip(bmi.tolist(), female.tolist(), edu.tolist(),
+                                  age.tolist())))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        argv = [sys.executable, "-m", "dummyreg.cli", "fit", "--output", "json",
+                "--data", str(path),
+                "--formula", "bmi ~ female * edu + center(log(age), at=log(18))"]
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            proc = subprocess.run(argv, env=env, capture_output=True)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
+    def test_csv_with_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / "excel.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,g\n1,a\n2,b\n3,a\n4.5,b\n")
+        code, out, err = run_cli(
+            capsys, "fit", "--data", str(path), "--formula", "y ~ g")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].startswith("(intercept)")
+
+    def test_rounding_past_the_decimal_context(self, capsys, two_group_csv):
+        code, out, err = run_cli(
+            capsys, "fit", "--data", two_group_csv, "--formula", "bmi ~ female",
+            "--rounding", "30")
+        assert (code, err) == (0, "")
+        estimate = out.splitlines()[1].split()[1]
+        assert len(estimate.partition(".")[2]) == 30
 
 
 class TestRelevel:
@@ -258,6 +308,14 @@ class TestExitCodes:
             "--refs", "year=2005",
         )
         assert code == 2 and "year" in err
+
+    @pytest.mark.parametrize("places", ["-1", "two"])
+    def test_bad_rounding(self, capsys, two_group_csv, places):
+        code, out, err = run_cli(
+            capsys, "fit", "--data", two_group_csv, "--formula", "bmi ~ female",
+            "--rounding", places)
+        assert (code, out) == (2, "")
+        assert "--rounding" in err
 
     def test_bad_tail_spec(self, capsys, two_group_csv):
         code, _, _ = run_cli(

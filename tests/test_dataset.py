@@ -548,6 +548,39 @@ class TestDecoding:
         assert (proc.returncode, proc.stderr) == (0, "")
 
 
+    @pytest.mark.parametrize("text, fast", [
+        ("y,g\n1,a\n2.5,b\nNA,a\n", True),
+        ('y,g\n1,"a"\n2.5,b\nNA,a\n', False),
+    ], ids=["fast", "strict"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text, fast):
+        raw = b"\xef\xbb\xbf" + text.encode()
+        path = tmp_path / "bom.csv"
+        path.write_bytes(raw)
+
+        def from_bytes(text, schema):
+            return read_csv(io.BytesIO(raw), schema)
+
+        got, decided = _read_traced(from_bytes, text)
+        assert decided == fast
+        _assert_same(got, reference_read_csv(text))
+        _assert_same(read_csv(str(path)), reference_read_csv(text))
+
+    def test_byte_order_mark_on_a_stream_that_cannot_seek(self):
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"\xef\xbb\xbfx,g\n1,a\nNA,b\n")
+        os.close(write_end)
+        with open(read_end, "rb") as fh:
+            assert not fh.seekable()
+            _assert_same(read_csv(fh), reference_read_csv("x,g\n1,a\nNA,b\n"))
+
+    def test_byte_order_mark_keeps_line_numbers(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfg,x\na,1\ncaf\xe9,2\n")
+        with pytest.raises(MalformedCsv) as exc:
+            read_csv(str(path))
+        assert str(exc.value) == "malformed CSV at line 3: byte 0xe9 is not UTF-8"
+
+
 class TestLevels:
     def test_first_appearance_order(self):
         data = read_csv_text("edu\nlow\nmiddle\nlow\nhigh\n")

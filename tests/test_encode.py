@@ -476,3 +476,85 @@ class TestEncoderProperties:
             assert [str(w.message) for w in caught] == [
                 "level 'r' of 'a' has no observations"]
             assert caught[0].filename == __file__
+
+
+# --- the log domain ---------------------------------------------------
+
+# Log factors a property formula draws from, over two numeric columns.
+LOG_FACTORS = ("log(x)", "center(log(x), at=log(2))", "log(z)")
+
+
+@st.composite
+def log_domain_cases(draw):
+    n = draw(st.integers(6, 40))
+
+    def log_column():
+        if draw(st.booleans()):  # every value distinct: no pattern index
+            values = draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n,
+                                   unique=True))
+        else:
+            values = draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, 3.0]),
+                                   min_size=n, max_size=n))
+        if draw(st.booleans()):
+            values = [abs(v) + 0.5 for v in values]
+        return numeric_column(values)
+
+    def codes(k):
+        return draw(st.permutations(np.arange(n) % k))
+
+    data = Dataset({
+        "y": numeric_column(range(n)),
+        "x": log_column(),
+        "z": log_column(),
+        "g": CategoricalColumn(("a", "b", "c"), codes(3)),
+        "h": CategoricalColumn(("u", "v"), codes(2)),
+    })
+    factor = st.sampled_from(LOG_FACTORS)
+    mains = draw(st.lists(st.sampled_from(LOG_FACTORS + ("g", "h")), unique=True))
+    crossed = draw(st.lists(
+        st.tuples(factor, st.sampled_from(("g", "h", "g:h")), st.booleans()).map(
+            lambda t: f"{t[0]}:{t[1]}" if t[2] else f"{t[1]}:{t[0]}"),
+        max_size=2))
+    if not mains and not crossed:
+        mains = [draw(factor)]
+    return data, parse_formula("y ~ " + " + ".join(mains + crossed))
+
+
+def first_log_error_row(ast, data):
+    """The row NonPositiveLog must name: the first data row that the first
+    log factor, in encoding order, cannot take; None if each can."""
+    terms = ([t for t in ast.terms if t.kind == "main"]
+             + [t for t in ast.terms if t.kind == "interaction"])
+    for term in terms:
+        for ref in term.factors:
+            if ref.log:
+                for row, value in enumerate(data[ref.name].values):
+                    if value <= 0:
+                        return row
+    return None
+
+
+class TestLogDomain:
+    @pytest.mark.parametrize("formula", [
+        "y ~ g + log(x)", "y ~ log(x) + g", "y ~ g + g:center(log(x), at=1)"])
+    def test_names_a_data_row_not_a_pattern(self, formula):
+        # Six rows, five patterns. Keyed, x = -1 (row 3) sorts before
+        # x = 0 (row 1), but row 1 is the first that log cannot take.
+        x = [3.0, 0.0, 2.0, -1.0, 3.0, 2.0]
+        data = Dataset({"y": numeric_column(range(6)), "x": numeric_column(x),
+                        "g": categorical_column(list("ababab"))})
+        with pytest.raises(NonPositiveLog) as exc:
+            build_design(parse_formula(formula), data)
+        assert exc.value.row == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_domain_cases())
+    def test_names_the_first_row_of_the_first_log_factor(self, case):
+        data, ast = case
+        expected = first_log_error_row(ast, data)
+        if expected is None:
+            build_design(ast, data)
+            return
+        with pytest.raises(NonPositiveLog) as exc:
+            build_design(ast, data)
+        assert exc.value.row == expected

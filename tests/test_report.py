@@ -3,6 +3,7 @@
 import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +39,20 @@ class TestFormatValue:
     def test_places_parameter(self):
         assert format_value(0.0005, places=3) == ".001"
         assert format_value(1234.5, places=0) == "1235"
+
+    def test_more_digits_than_the_default_decimal_context(self):
+        assert format_value(1e20, 10) == "100000000000000000000.0000000000"
+        assert format_value(1e26, 2) == "100000000000000000000000000.00"
+        assert format_value(-123.456, 30) == "-123.456" + "0" * 27
+
+    def test_small_values_stay_fixed_point(self):
+        assert format_value(0.0, 8) == ".00000000"
+        assert format_value(1e-9, 12) == ".000000001000"
+        assert format_value(-1e-9, 7) == "-.0000000"
+
+    def test_negative_places_rejected(self):
+        with pytest.raises(ValueError):
+            format_value(1.5, -1)
 
     def test_non_finite_passthrough(self):
         assert format_value(math.inf) == "inf"
