@@ -27,6 +27,7 @@ from .errors import (
     InterceptRequired,
     InvalidProfileValue,
     MissingValuesPresent,
+    NonFiniteValue,
     NonPositiveLog,
     NotCategorical,
     ResponseNotNumeric,
@@ -487,7 +488,8 @@ def build_design(
 
     Column order: intercept, main-effect terms in formula order, then
     interaction terms in formula order. Callers must remove missing
-    values first (see dataset.listwise_delete).
+    values first (see dataset.listwise_delete). An infinite value in the
+    response or in a variable used as a number raises NonFiniteValue.
     """
     if not ast.intercept:
         raise InterceptRequired()
@@ -502,6 +504,13 @@ def build_design(
     incomplete = [name for name in used if data[name].has_missing]
     if incomplete:
         raise MissingValuesPresent(incomplete)
+    labels_only = {r.name for term in ast.terms for r in term.factors if r.categorical}
+    for name in [ast.response] + [v for v in ast.variables() if v not in labels_only]:
+        column = data[name]
+        if isinstance(column, NumericColumn):
+            infinite = np.isinf(column.values)
+            if infinite.any():
+                raise NonFiniteValue(name, int(np.argmax(infinite)))
     for name in refs:
         if name not in data:
             raise UnknownVariable(name)

@@ -115,6 +115,13 @@ class MissingValuesPresent(DummyregError):
         super().__init__(f"missing values present in: {names} (drop incomplete rows first)")
 
 
+class NonFiniteValue(DummyregError):
+    def __init__(self, name: str, row: int):
+        self.name = name
+        self.row = row
+        super().__init__(f"variable {name!r} has a non-finite value (row {row})")
+
+
 class UnknownLevel(DummyregError):
     def __init__(self, variable: str, level: str):
         self.variable = variable

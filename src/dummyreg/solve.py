@@ -3,8 +3,8 @@
 Estimation reduces [X | y] to the R factor of its QR factorization and
 back-substitutes, never forming Q or a normal-equations inverse, with
 numpy alone. Exact collinearity (the dummy variable trap), found by a
-pivoted QR of R with unit-norm columns, is a hard error naming the
-dependent columns. P-values come from the Student-t tail, built on a
+formula-order scan of R's columns at unit norm, is a hard error naming
+the dependent columns. P-values come from the Student-t tail, built on a
 self-contained regularized incomplete beta function; an independent
 quadrature oracle lives in the oracle module.
 """
@@ -66,32 +66,6 @@ class FitResult:
         raise UnknownLabel(label)
 
 
-def _pivoted_diagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|diag R| of a Householder QR with column pivoting of a small
-    matrix, and the column order.
-
-    Each step moves the remaining column of largest norm to the front,
-    so the diagonal reveals the rank.
-    """
-    a = a.copy()
-    rows, cols = a.shape
-    order = np.arange(cols)
-    diag = np.zeros(cols)
-    for j in range(min(rows, cols)):
-        rest = a[j:, j:]
-        k = j + int(np.argmax(np.einsum("ij,ij->j", rest, rest)))
-        if k != j:
-            a[:, [j, k]] = a[:, [k, j]]
-            order[[j, k]] = order[[k, j]]
-        v = a[j:, j].copy()
-        diag[j] = alpha = math.sqrt(v @ v)
-        if alpha == 0.0:
-            break  # every remaining column is zero
-        v[0] += math.copysign(alpha, v[0])
-        a[j:, j:] -= np.outer(v, (2.0 / (v @ v)) * (v @ a[j:, j:]))
-    return diag, order
-
-
 def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve r x = b for an upper-triangular r; b is a vector or a matrix."""
     x = np.array(b, dtype=np.float64)
@@ -128,9 +102,10 @@ def fit(design: DesignMatrix) -> FitResult:
     index is its own table, each row a pattern of count 1, for which
     this is exact. That matrix is reduced to its (p+1)-square R factor
     without forming Q; the coefficients and their covariance come from
-    back-substitution in R. The rank test is a pivoted QR of R with
-    its columns scaled to unit norm, so it does not depend on column
-    scale. Residuals and RSS come from all n rows.
+    back-substitution in R. The rank test scans R's columns, scaled to
+    unit norm, in formula order: a column closer than RANK_TOL to the
+    span of the earlier columns kept is dependent, whatever its scale.
+    Residuals and RSS come from all n rows.
     """
     table = design.cell_table
     y = design.response
@@ -154,15 +129,9 @@ def fit(design: DesignMatrix) -> FitResult:
     r[:len(top)] = top
     norms = np.sqrt(np.einsum("ij,ij->j", r[:, :p], r[:, :p]))
     unit = r[:, :p] / np.where(norms > 0.0, norms, 1.0)
-    diag, piv = _pivoted_diagonal(unit)
-    scale = diag.max() if diag.size else 0.0
-    dependent = diag < RANK_TOL * scale if scale > 0.0 else np.ones(p, dtype=bool)
-    if dependent.any():
-        # Named by a left-to-right scan, so the names do not hang on
-        # how rounding breaks ties between pivots.
-        columns = (_dependent_in_order(unit, RANK_TOL * scale)
-                   or piv[np.flatnonzero(dependent)])
-        raise RankDeficient([design.labels[j].text for j in columns])
+    dependent = _dependent_in_order(unit, RANK_TOL)
+    if dependent:
+        raise RankDeficient([design.labels[j].text for j in dependent])
     coefficients = _back_substitute(r[:p, :p], r[:p, p])
 
     fitted = (table @ coefficients)[cell]
@@ -290,9 +259,12 @@ def two_tailed_p(t: float, df: int) -> float:
     """P(|T| >= |t|) for Student's t with df degrees of freedom.
 
     Computed as the tail itself, I_x(df/2, 1/2) with x = df/(df + t^2),
-    never as 1 - cdf, so a small p keeps its relative precision.
+    never as 1 - cdf, so a small p keeps its relative precision. A NaN
+    t gives NaN.
     """
     t2 = float(t) * float(t)
+    if math.isnan(t2):
+        return math.nan
     if t2 == 0.0:
         return 1.0
     return _betai(0.5 * df, 0.5, df / (df + t2), 1.0 / (1.0 + df / t2))

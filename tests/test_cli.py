@@ -359,6 +359,18 @@ class TestExitCodes:
         )
         assert code == 3 and "d2" in err
 
+    @pytest.mark.parametrize("name", ["y", "x"])
+    def test_infinite_value(self, capsys, tmp_path, name):
+        rows = [{"y": "1.5", "x": "1"}, {"y": "2.5", "x": "2"},
+                {"y": "3.0", "x": "3"}, {"y": "4.5", "x": "4"}]
+        rows[2][name] = "1e500"
+        path = tmp_path / "overflow.csv"
+        path.write_text("y,x\n" + "".join(f"{r['y']},{r['x']}\n" for r in rows))
+        code, out, err = run_cli(
+            capsys, "fit", "--data", str(path), "--formula", "y ~ x")
+        assert (code, out) == (3, "")
+        assert err == f"error: variable {name!r} has a non-finite value (row 2)\n"
+
     def test_undecodable_csv(self, capsys, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"bmi,g\n1.5,a\n2.5,caf\xe9\n3.0,b\n")

@@ -29,6 +29,7 @@ from dummyreg.errors import (
     IncompleteProfile,
     InterceptRequired,
     MissingValuesPresent,
+    NonFiniteValue,
     NonPositiveLog,
     NotCategorical,
     ResponseNotNumeric,
@@ -242,6 +243,23 @@ class TestBuildDesign:
         with pytest.raises(MissingValuesPresent) as exc:
             build_design(parse_formula("y ~ x"), data)
         assert exc.value.variables == ("y",)
+
+    @pytest.mark.parametrize("name", ["y", "x"])
+    def test_infinite_value_named_with_its_first_row(self, name):
+        cells = {"y": ["1", "2", "3", "4", "5"], "x": ["1", "2", "3", "1", "2"]}
+        cells[name][1], cells[name][3] = "-1e500", "1e500"
+        text = "y,g,x\n" + "".join(
+            f"{y},{g},{x}\n" for y, g, x in zip(cells["y"], "ababa", cells["x"]))
+        with pytest.raises(NonFiniteValue) as exc:
+            build_design(parse_formula("y ~ g * log(x)"), read_csv_text(text))
+        assert (exc.value.name, exc.value.row) == (name, 1)
+
+    def test_infinite_label_and_missing_value_precedence(self):
+        data = read_csv_text("y,x,z\n1,1e500,1\n2,2,NA\n3,-1e500,1\n4,2,1\n")
+        design = build_design(parse_formula("y ~ cat(x)"), data)
+        assert design.info.categoricals["x"].levels == ("-inf", "2", "inf")
+        with pytest.raises(MissingValuesPresent):
+            build_design(parse_formula("y ~ x + z"), data)
 
     def test_conflicting_reference_levels(self):
         data = interaction_fixture()

@@ -27,7 +27,7 @@ from dummyreg import (
 )
 from dummyreg.encode import variable_levels
 from dummyreg.formula import SCHEMES
-from dummyreg.solve import two_tailed_p
+from dummyreg.solve import RANK_TOL, two_tailed_p
 from dummyreg.errors import (
     DimensionMismatch,
     RankDeficient,
@@ -467,6 +467,52 @@ class TestRankTest:
             with pytest.raises(RankDeficient) as exc:
                 fit(design)
             assert exc.value.labels == ("d2",)
+
+    def test_names_only_the_trap_when_one_row_is_spare(self):
+        # Four patterns give R four nonzero rows for five columns, so
+        # x's diagonal entry is zero and a test reading |r_jj| / |r_:j|
+        # would name x. x still differs on the two c rows: it is kept.
+        g = np.array([0, 1, 2, 2])
+        table = np.column_stack([np.ones(4), np.eye(3)[g], [1.0, 2.0, 3.0, 5.0]])
+        index = np.repeat(np.arange(4), 3)
+        design = DesignMatrix(table, simple_labels(["(i)", "d0", "d1", "d2", "x"]),
+                              np.arange(12.0) % 5, cell_index=index)
+        with pytest.raises(RankDeficient) as exc:
+            fit(design)
+        assert exc.value.labels == ("d2",)
+
+    @pytest.mark.parametrize("distance, named", [(10 * RANK_TOL, ()),
+                                                 (0.1 * RANK_TOL, ("c",))],
+                             ids=["kept", "named"])
+    def test_tolerance_is_a_distance_between_unit_columns(self, distance, named):
+        rng = np.random.default_rng(3)
+        a, b, e = np.linalg.qr(rng.normal(size=(8, 3)))[0].T
+        c = (a + b) / np.sqrt(2.0) + distance * e
+        design = DesignMatrix(np.column_stack([a, b, c]),
+                              simple_labels(["a", "b", "c"]), rng.normal(size=8))
+        if named:
+            with pytest.raises(RankDeficient) as exc:
+                fit(design)
+            assert exc.value.labels == named
+        else:
+            assert fit(design).n_cols == 3
+
+    def test_zero_column_is_named(self):
+        x = np.array([1.0, 2.0, 4.0, 8.0, 3.0, 5.0])
+        matrix = np.column_stack([np.ones(6), np.zeros(6), x])
+        design = DesignMatrix(matrix, simple_labels(["(i)", "z", "x"]), x ** 2)
+        with pytest.raises(RankDeficient) as exc:
+            fit(design)
+        assert exc.value.labels == ("z",)
+
+    def test_copied_factor_names_its_dummies_in_order(self):
+        cells = list("abcabcaab")
+        data = Dataset({"y": numeric_column(np.arange(9.0)),
+                        "g": categorical_column(cells),
+                        "h": categorical_column(cells)})
+        with pytest.raises(RankDeficient) as exc:
+            fit(build_design(parse_formula("y ~ g + h"), data))
+        assert exc.value.labels == ("h[b]", "h[c]")
 
 
 class TestPValues:

@@ -88,6 +88,10 @@ class TestTwoTailedP:
         assert two_tailed_p(math.inf, 7) == 0.0
         assert two_tailed_p(-2.5, 12) == two_tailed_p(2.5, 12)
 
+    def test_nan_t_gives_nan(self):
+        assert math.isnan(two_tailed_p(math.nan, 7))
+        assert math.isnan(student_t_cdf(math.nan, 7))
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.one_of(st.integers(min_value=1, max_value=1000),
