@@ -3,9 +3,10 @@
 synthesize() builds datasets whose per-cell sample means hit prescribed
 values exactly, so coefficient algebra can be checked without any real
 survey data. cell_means() is the direct groupby-mean computation, and
-t_cdf_quadrature() integrates the t density numerically as an oracle
-for the closed-form CDF in the solve module. random_one_factor() and
-random_two_factor() draw random datasets, and t_cdf_error(),
+t_cdf_quadrature() integrates the t density with a fixed Gauss-Legendre
+rule, in numpy alone, as an oracle for the closed-form CDF in the solve
+module. random_one_factor() and random_two_factor() draw random
+datasets, and t_cdf_error(),
 scheme_invariance_error() and saturated_cell_mean_error() are the checks
 that the acceptance tests and ``dummyreg selftest`` both run.
 """
@@ -195,28 +196,36 @@ def cell_means(
     return {key: sums[key] / counts[key] for key in sums}
 
 
+# Composite Gauss-Legendre rule for t_cdf_quadrature: 16 equal panels
+# of 64 nodes each (Golub & Welsch, Math. Comp. 23, 1969), set up once.
+_GL_PANELS = 16
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
 def t_cdf_quadrature(t: float, df: int) -> float:
-    """Student-t CDF by adaptive quadrature of the density.
+    """Student-t CDF by a fixed composite Gauss-Legendre rule on the
+    density over [0, |t|].
 
     Deliberately a separate computation path from the incomplete-beta
-    CDF so the two can cross-check each other. scipy.integrate is
-    imported here, not at module load, to keep ``import dummyreg`` fast.
+    CDF so the two can cross-check each other. It agrees with adaptive
+    quadrature to 1e-13 for |t| <= 30 and df up to 1000, the domain
+    that is checked; far beyond it (df = 1, t = 1e3) it drifts past
+    1e-10. +-inf give exactly 1 or 0, and a NaN t gives NaN.
     """
-    from scipy.integrate import quad
-
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
     t = float(t)
+    if not math.isfinite(t):
+        return t if math.isnan(t) else float(t > 0)
     ln_norm = (
         math.lgamma((df + 1) / 2.0)
         - math.lgamma(df / 2.0)
         - 0.5 * math.log(df * math.pi)
     )
-
-    def density(u: float) -> float:
-        return math.exp(ln_norm - ((df + 1) / 2.0) * math.log1p(u * u / df))
-
-    area, _ = quad(density, 0.0, abs(t), epsabs=1e-13, epsrel=1e-13, limit=200)
+    width = abs(t) / _GL_PANELS
+    u = (np.arange(_GL_PANELS)[:, None] + 0.5 + 0.5 * _GL_NODES) * width
+    density = np.exp(ln_norm - ((df + 1) / 2.0) * np.log1p(u * u / df))
+    area = 0.5 * width * float(np.sum(_GL_WEIGHTS * density))
     return 0.5 + area if t >= 0 else 0.5 - area
 
 

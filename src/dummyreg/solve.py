@@ -20,6 +20,7 @@ import numpy as np
 from .encode import ColumnLabel, DesignInfo, DesignMatrix, profile_row
 from .errors import (
     DimensionMismatch,
+    NonFiniteValue,
     RankDeficient,
     TooFewRows,
     UnknownLabel,
@@ -105,7 +106,9 @@ def fit(design: DesignMatrix) -> FitResult:
     back-substitution in R. The rank test scans R's columns, scaled to
     unit norm, in formula order: a column closer than RANK_TOL to the
     span of the earlier columns kept is dependent, whatever its scale.
-    Residuals and RSS come from all n rows.
+    Residuals and RSS come from all n rows. A non-finite table value or
+    pattern mean raises NonFiniteValue, naming the first data row on
+    that table row, or the table row itself when no data row uses it.
     """
     table = design.cell_table
     y = design.response
@@ -119,6 +122,13 @@ def fit(design: DesignMatrix) -> FitResult:
     # A table row that no data row uses gets weight 0, not 0/0.
     target = (np.bincount(cell, weights=y, minlength=len(table))
               / np.maximum(counts, 1))
+    if not (np.isfinite(target).all() and np.isfinite(table).all()):
+        name, bad = design.response_name, ~np.isfinite(target)
+        if not bad.any():
+            j = int(np.argmax(~np.isfinite(table).all(axis=0)))
+            name, bad = design.labels[j].text, ~np.isfinite(table[:, j])
+        used = bad[cell]  # O(n), on the error path only
+        raise NonFiniteValue(name, int(np.argmax(used if used.any() else bad)))
     # R is carried from block to block, so no temporary outgrows a block.
     top = np.zeros((0, p + 1))
     for start in range(0, len(table), _QR_BLOCK_ROWS):

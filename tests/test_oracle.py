@@ -160,3 +160,43 @@ class TestImport:
         proc = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
+
+
+class TestWithoutScipy:
+    """The oracle and selftest run when scipy cannot be imported."""
+
+    BLOCK = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError('scipy is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+    )
+
+    def _run(self, code):
+        src = str(Path(dummyreg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-c", self.BLOCK + code], env=env,
+                              capture_output=True, text=True)
+
+    def test_block_holds(self):
+        proc = self._run("import scipy")
+        assert proc.returncode != 0 and "scipy is blocked" in proc.stderr
+
+    def test_selftest(self):
+        proc = self._run("import runpy\n"
+                         "sys.argv = ['dummyreg', 'selftest']\n"
+                         "runpy.run_module('dummyreg.cli', run_name='__main__')\n")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        lines = proc.stdout.splitlines()
+        assert sum(line.startswith("ok:") for line in lines) == 6, proc.stdout
+
+    def test_t_cdf_error_on_acceptance_grid(self):
+        proc = self._run(
+            "import numpy as np\n"
+            "from dummyreg import oracle\n"
+            "print(oracle.t_cdf_error((1, 2, 5, 10, 30, 100, 1000),\n"
+            "                         np.arange(-5.0, 5.0 + 1e-9, 0.25)))\n")
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 1e-8

@@ -30,6 +30,7 @@ from dummyreg.formula import SCHEMES
 from dummyreg.solve import RANK_TOL, two_tailed_p
 from dummyreg.errors import (
     DimensionMismatch,
+    NonFiniteValue,
     RankDeficient,
     TooFewRows,
     UnknownLabel,
@@ -415,6 +416,56 @@ class TestPatternPath:
         expected = fit(TestCellPath.row_level(design))
         assert np.allclose(fit(design).coefficients, expected.coefficients,
                            rtol=1e-10, atol=0)
+
+
+class TestNonFinite:
+    """fit checks the m table rows and pattern means before the QR."""
+
+    def test_infinite_column_value_names_column_and_row(self):
+        x = np.array([1.0, 2.0, np.inf, 4.0, 5.0, 6.0])
+        design = DesignMatrix(np.column_stack([np.ones(6), x]),
+                              simple_labels(["(intercept)", "x"]),
+                              np.arange(6.0))
+        with pytest.raises(NonFiniteValue) as exc:
+            fit(design)
+        assert (exc.value.name, exc.value.row) == ("x", 2)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_response_named_first(self, bad):
+        x = np.array([1.0, 2.0, np.inf, 4.0, 5.0, 6.0])
+        y = np.array([0.5, 1.0, 2.0, 3.5, bad, 6.0])
+        design = DesignMatrix(np.column_stack([np.ones(6), x]),
+                              simple_labels(["(intercept)", "x"]), y,
+                              response_name="bmi")
+        with pytest.raises(NonFiniteValue) as exc:
+            fit(design)
+        assert (exc.value.name, exc.value.row) == ("bmi", 4)
+
+    def test_pattern_design_names_first_data_row_of_bad_pattern(self):
+        table = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 2.0], [1.0, 1.0, 3.0]])
+        index = np.array([0, 2, 0, 1, 2, 1, 0])
+        labels = simple_labels(["(i)", "d", "x"])
+        bad_table = table.copy()
+        bad_table[1, 2] = -np.inf
+        design = DesignMatrix(bad_table, labels, np.arange(7.0), cell_index=index)
+        with pytest.raises(NonFiniteValue) as exc:
+            fit(design)
+        assert (exc.value.name, exc.value.row) == ("x", 3)
+
+        y = np.array([1.0, 2.0, 3.0, 4.0, 5.0, np.nan, 7.0])
+        design = DesignMatrix(table, labels, y, cell_index=index)
+        with pytest.raises(NonFiniteValue) as exc:
+            fit(design)
+        assert (exc.value.name, exc.value.row) == ("y", 3)
+
+    def test_unused_table_row_is_named_itself(self):
+        table = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, np.nan], [1.0, 2.0]])
+        index = np.array([0, 1, 3, 0, 1, 3])
+        design = DesignMatrix(table, simple_labels(["(i)", "x"]),
+                              np.arange(6.0), cell_index=index)
+        with pytest.raises(NonFiniteValue) as exc:
+            fit(design)
+        assert (exc.value.name, exc.value.row) == ("x", 2)
 
 
 class TestRankTest:

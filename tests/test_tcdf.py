@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -121,3 +121,40 @@ class TestTwoTailedP:
         for df in (1, 2, 5, 30, 1000, 10**6):
             p = [two_tailed_p(t, df) for t in grid]
             assert all(b <= a for a, b in zip(p, p[1:])), df
+
+
+def _t_cdf_adaptive(t: float, df: int) -> float:
+    """The same density integrated by scipy's adaptive quadrature."""
+    from scipy.integrate import quad
+
+    ln_norm = (math.lgamma((df + 1) / 2.0) - math.lgamma(df / 2.0)
+               - 0.5 * math.log(df * math.pi))
+    area, _ = quad(
+        lambda u: math.exp(ln_norm - ((df + 1) / 2.0) * math.log1p(u * u / df)),
+        0.0, abs(t), epsabs=1e-13, epsrel=1e-13, limit=200)
+    return 0.5 + area if t >= 0 else 0.5 - area
+
+
+class TestGaussLegendreOracle:
+    """The fixed rule behind t_cdf_quadrature against adaptive quadrature,
+    on its checked domain |t| <= 30."""
+
+    def test_matches_adaptive_on_acceptance_grid(self):
+        worst = max(abs(t_cdf_quadrature(t, df) - _t_cdf_adaptive(t, df))
+                    for df in (1, 2, 5, 10, 30, 100, 1000)
+                    for t in np.arange(-5.0, 5.0 + 1e-9, 0.25))
+        assert worst < 1e-13
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=1000),
+           st.floats(min_value=-30.0, max_value=30.0))
+    @example(2, 30.0)
+    @example(1, -30.0)
+    def test_matches_adaptive(self, df, t):
+        assert abs(t_cdf_quadrature(t, df) - _t_cdf_adaptive(t, df)) < 1e-13
+
+    def test_infinite_and_nan_t(self):
+        for df in (1, 7, 1000):
+            assert t_cdf_quadrature(math.inf, df) == 1.0
+            assert t_cdf_quadrature(-math.inf, df) == 0.0
+            assert math.isnan(t_cdf_quadrature(math.nan, df))
