@@ -78,7 +78,6 @@ class CategoricalInfo:
     scheme: ContrastScheme
     levels: tuple[str, ...]
     counts: tuple[int, ...]
-    from_numeric: bool = False
 
     @property
     def kept(self) -> tuple[str, ...]:
@@ -221,15 +220,23 @@ def apply_transform(
 ) -> np.ndarray:
     """Apply a factor's transform chain (log, then centering) to values.
 
-    ``index`` maps data rows to entries of ``values``, so that the log
-    of a non-positive value raises NonPositiveLog at the first data row
-    holding one.
+    This is the one check of a numeric factor's values: ±inf raises
+    NonFiniteValue, then, under log, a non-positive value raises
+    NonPositiveLog. ``index`` maps data rows to entries of ``values``,
+    so that either error names the first data row holding a bad value.
     """
     out = np.asarray(values, dtype=np.float64)
+
+    def first_row(bad: np.ndarray) -> int:
+        return int(np.argmax(bad if index is None else bad[index]))
+
+    infinite = np.isinf(out)
+    if infinite.any():
+        raise NonFiniteValue(ref.name, first_row(infinite))
     if ref.log:
         bad = out <= 0
         if bad.any():
-            raise NonPositiveLog(int(np.argmax(bad if index is None else bad[index])))
+            raise NonPositiveLog(first_row(bad))
         out = np.log(out)
     if ref.center is not None:
         out = out - ref.center.value
@@ -243,10 +250,8 @@ def _is_dummy_passthrough(ref: VarRef, values: np.ndarray) -> bool:
 
 
 def _numeric_as_categorical(values: np.ndarray) -> CategoricalColumn:
-    distinct = np.unique(values)
-    levels = tuple(format_number(v) for v in distinct)
-    codes = np.searchsorted(distinct, values)
-    return CategoricalColumn(levels, codes)
+    distinct, codes = np.unique(values, return_inverse=True)
+    return CategoricalColumn(tuple(format_number(v) for v in distinct), codes)
 
 
 def _resolve_categoricals(
@@ -284,8 +289,7 @@ def _resolve_categoricals(
                 name, f"conflicting contrast schemes: {sorted(schemes)}"
             )
 
-        from_numeric = not isinstance(column, CategoricalColumn)
-        if from_numeric:
+        if not isinstance(column, CategoricalColumn):
             column = columns[name] = _numeric_as_categorical(column.values)
 
         omitted = refs.get(name)
@@ -302,7 +306,6 @@ def _resolve_categoricals(
             ContrastScheme(kind, omitted),
             column.levels,
             tuple(int(c) for c in column.counts),
-            from_numeric=from_numeric,
         )
     return out, columns
 
@@ -376,7 +379,7 @@ def _encode(
     Each term folds its factors left to right, from 1.0, row by row: a
     categorical multiplies in its contrast rows, a numeric factor its
     transformed values. ``index`` is the data rows' pattern index, which
-    a log error reads to name a data row.
+    an error in a numeric factor reads to name a data row.
     """
     out = np.empty((n, p))
     start = 0
@@ -488,8 +491,9 @@ def build_design(
 
     Column order: intercept, main-effect terms in formula order, then
     interaction terms in formula order. Callers must remove missing
-    values first (see dataset.listwise_delete). An infinite value in the
-    response or in a variable used as a number raises NonFiniteValue.
+    values first (see dataset.listwise_delete). ±inf in the response
+    raises NonFiniteValue up front; in a variable used as a number, only
+    when apply_transform encodes it, after any encoding error.
     """
     if not ast.intercept:
         raise InterceptRequired()
@@ -504,13 +508,9 @@ def build_design(
     incomplete = [name for name in used if data[name].has_missing]
     if incomplete:
         raise MissingValuesPresent(incomplete)
-    labels_only = {r.name for term in ast.terms for r in term.factors if r.categorical}
-    for name in [ast.response] + [v for v in ast.variables() if v not in labels_only]:
-        column = data[name]
-        if isinstance(column, NumericColumn):
-            infinite = np.isinf(column.values)
-            if infinite.any():
-                raise NonFiniteValue(name, int(np.argmax(infinite)))
+    infinite = np.isinf(response_col.values)
+    if infinite.any():
+        raise NonFiniteValue(ast.response, int(np.argmax(infinite)))
     for name in refs:
         if name not in data:
             raise UnknownVariable(name)

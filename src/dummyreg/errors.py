@@ -95,10 +95,19 @@ class ZeroCountLevel(DummyregError):
         super().__init__(f"level {level!r} has no observations; {scheme} coding is undefined")
 
 
+def _data_row(row: int, line: int | None) -> str:
+    """Where a data row is: its CSV line if known, else its row index."""
+    return f"row {row}" if line is None else f"line {line}"
+
+
 class NonPositiveLog(DummyregError):
-    def __init__(self, row: int | None):
+    """``row`` counts from 0 among the rows kept; ``line``, when given,
+    is the CSV line that row starts on, and the message names it."""
+
+    def __init__(self, row: int | None, *, line: int | None = None):
         self.row = row
-        where = "profile value" if row is None else f"row {row}"
+        self.line = line
+        where = "profile value" if row is None else _data_row(row, line)
         super().__init__(f"log transform requires positive values ({where})")
 
 
@@ -116,10 +125,14 @@ class MissingValuesPresent(DummyregError):
 
 
 class NonFiniteValue(DummyregError):
-    def __init__(self, name: str, row: int):
+    """``row`` and ``line`` as for NonPositiveLog."""
+
+    def __init__(self, name: str, row: int, *, line: int | None = None):
         self.name = name
         self.row = row
-        super().__init__(f"variable {name!r} has a non-finite value (row {row})")
+        self.line = line
+        super().__init__(
+            f"variable {name!r} has a non-finite value ({_data_row(row, line)})")
 
 
 class UnknownLevel(DummyregError):

@@ -6,9 +6,10 @@ survey data. cell_means() is the direct groupby-mean computation, and
 t_cdf_quadrature() integrates the t density with a fixed Gauss-Legendre
 rule, in numpy alone, as an oracle for the closed-form CDF in the solve
 module. random_one_factor() and random_two_factor() draw random
-datasets, and t_cdf_error(),
-scheme_invariance_error() and saturated_cell_mean_error() are the checks
-that the acceptance tests and ``dummyreg selftest`` both run.
+datasets, and t_cdf_error(), t_cdf_closed_form_error(),
+scheme_invariance_error(), saturated_cell_mean_error() and
+dummy_trap_caught() are the checks that the acceptance tests and
+``dummyreg selftest`` both run.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .dataset import (
     numeric_column,
 )
 from .dataset import _NUMBER_RE  # shared numeric-literal rule
-from .encode import build_design
-from .errors import UnknownVariable
+from .encode import DesignMatrix, build_design, simple_labels
+from .errors import RankDeficient, UnknownVariable
 from .formula import SCHEMES, format_number, parse_formula
 from .solve import fit, student_t_cdf
 
@@ -237,6 +238,38 @@ def t_cdf_error(dfs: Sequence[int], ts: Sequence[float]) -> float:
     """Largest |student_t_cdf - t_cdf_quadrature| over every (df, t)."""
     return float(np.max([abs(student_t_cdf(float(t), df) - t_cdf_quadrature(t, df))
                          for df in dfs for t in ts]))
+
+
+def t_cdf_closed_form_error() -> float:
+    """Largest error of student_t_cdf at two closed forms: cdf(0) = 1/2
+    at df = 7, and the Cauchy cdf(1) = 3/4 at df = 1."""
+    return float(np.max([abs(student_t_cdf(0.0, 7) - 0.5),
+                         abs(student_t_cdf(1.0, 1) - 0.75)]))
+
+
+def dummy_trap_caught(rng, ks: Sequence[int], trials: int) -> tuple[int, int]:
+    """Fit an intercept plus all k one-hot dummies of a random grouping
+    (2 to 5 rows a group), ``trials`` times for each k.
+
+    Returns how many fits raised RankDeficient naming only columns of
+    the design, and how many were run.
+    """
+    caught = total = 0
+    for k in ks:
+        labels = simple_labels(["(intercept)"] + [f"g[{i}]" for i in range(k)])
+        for _ in range(trials):
+            codes = np.repeat(np.arange(k), rng.integers(2, 6, size=k))
+            one_hot = np.zeros((codes.size, k))
+            one_hot[np.arange(codes.size), codes] = 1.0
+            design = DesignMatrix(np.column_stack([np.ones(codes.size), one_hot]),
+                                  labels, rng.normal(size=codes.size))
+            total += 1
+            try:
+                fit(design)
+            except RankDeficient as exc:
+                named = set(exc.labels)
+                caught += bool(named) and named <= {lb.text for lb in labels}
+    return caught, total
 
 
 def scheme_invariance_error(rng, trials: int) -> tuple[float, float]:

@@ -138,6 +138,23 @@ class TestFit:
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
 
+    def test_cat_of_a_number_leaves_numpy_ma_unloaded(self, tmp_path):
+        # A fit has no use for numpy.ma. A bare np.unique imports it (numpy
+        # 2.4); coding cat() numbers with return_inverse=True does not.
+        path = tmp_path / "children.csv"
+        path.write_text("y,children\n1.5,0\n2.5,1\n3.0,2\n4.5,1\n5.0,0\n6.5,2\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = ("import sys\n"
+                 "from dummyreg.cli import main\n"
+                 f"code = main(['fit', '--data', {str(path)!r}, "
+                 "'--formula', 'y ~ cat(children)'])\n"
+                 "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+        assert proc.stdout.splitlines()[1].startswith("(intercept)")
+        assert proc.stderr == "0 False\n"
+
     def test_csv_with_byte_order_mark(self, capsys, tmp_path):
         path = tmp_path / "excel.csv"
         path.write_bytes(b"\xef\xbb\xbfy,g\n1,a\n2,b\n3,a\n4.5,b\n")
@@ -369,7 +386,34 @@ class TestExitCodes:
         code, out, err = run_cli(
             capsys, "fit", "--data", str(path), "--formula", "y ~ x")
         assert (code, out) == (3, "")
-        assert err == f"error: variable {name!r} has a non-finite value (row 2)\n"
+        assert err == f"error: variable {name!r} has a non-finite value (line 4)\n"
+
+    # Each error names the CSV line its row starts on: not the row among
+    # those kept after listwise deletion, and counting each line of a
+    # quoted cell that holds a line break.
+    DATA_LINE_CASES = {
+        "response": ("y,g\n1.5,a\n2.5,b\n1e500,a\n4.5,b\n", "y ~ g",
+                     "variable 'y' has a non-finite value (line 4)"),
+        "after_a_dropped_row": (
+            "y,g,x\n1.5,a,1\n2.5,b,NA\n3.0,a,0\n4.5,b,2\n5.0,a,3\n",
+            "y ~ g + log(x)", "log transform requires positive values (line 4)"),
+        "after_a_quoted_line_break": (
+            'y,g,x\n1.5,"a\nb",1\n2.5,b,NA\n3.0,a,0\n4.5,b,2\n5.0,a,3\n',
+            "y ~ g + log(x)", "log transform requires positive values (line 5)"),
+        "infinite_predictor": (
+            'y,g,x\n1.5,"a\nb",1\n2.5,b,NA\n3.0,a,2\n4.5,b,-1e500\n5.0,a,3\n',
+            "y ~ g + x", "variable 'x' has a non-finite value (line 6)"),
+    }
+
+    @pytest.mark.parametrize("subcommand", ["fit", "encode"])
+    @pytest.mark.parametrize("case", sorted(DATA_LINE_CASES))
+    def test_data_error_names_the_csv_line(self, capsys, tmp_path, subcommand, case):
+        text, formula, message = self.DATA_LINE_CASES[case]
+        path = tmp_path / "data.csv"
+        path.write_text(text, newline="")
+        code, out, err = run_cli(
+            capsys, subcommand, "--data", str(path), "--formula", formula)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
     def test_undecodable_csv(self, capsys, tmp_path):
         path = tmp_path / "latin1.csv"

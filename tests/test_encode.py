@@ -38,6 +38,7 @@ from dummyreg.errors import (
     UnknownVariable,
     ZeroCountLevel,
 )
+from dummyreg.encode import _numeric_as_categorical, variable_levels
 from dummyreg.formula import ConstExpr, format_number, format_ref
 
 
@@ -136,6 +137,14 @@ class TestApplyTransform:
         with pytest.raises(NonPositiveLog) as exc:
             apply_transform(np.array([5.0, 0.0, 3.0]), ref)
         assert exc.value.row == 1
+
+    def test_infinite_value_raised_before_the_log_test(self):
+        # -inf is also <= 0; the finiteness test comes first.
+        ref = VarRef("age", log=True)
+        with pytest.raises(NonFiniteValue) as exc:
+            apply_transform(np.array([5.0, 0.0, -np.inf]), ref,
+                            index=np.array([0, 0, 2, 1]))
+        assert (exc.value.name, exc.value.row) == ("age", 2)
 
 
 def interaction_fixture(spread=0.3):
@@ -313,6 +322,14 @@ class TestBuildDesign:
         assert exc.value.row == 6
         assert str(exc.value) == "log transform requires positive values (row 6)"
 
+    @pytest.mark.parametrize("formula", ["y ~ log(x) + g", "y ~ x + g"])
+    def test_single_level_reported_before_infinite_value(self, formula):
+        data = Dataset({"y": numeric_column(range(4)),
+                        "x": numeric_column([1.0, np.inf, 1.0, 2.0]),
+                        "g": categorical_column(["a"] * 4)})
+        with pytest.raises(SingleLevel):
+            build_design(parse_formula(formula), data)
+
     def test_single_level_reported_before_log_error(self):
         data = Dataset({"y": numeric_column(range(4)),
                         "x": numeric_column([1.0, 0.0, 1.0, 2.0]),
@@ -363,6 +380,39 @@ class TestRelevel:
         assert refs == {"children": "2"}
         with pytest.raises(UnknownLevel):
             relevel({}, "children", "9", design)
+
+
+class TestNumericAsCategorical:
+    """cat() numbers: levels and codes from one np.unique."""
+
+    @staticmethod
+    def by_search(values):
+        distinct = np.unique(values)
+        return (tuple(format_number(v) for v in distinct),
+                np.searchsorted(distinct, values))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -2.5, 1e300]),
+                              st.floats(allow_nan=False)), min_size=1, max_size=30))
+    def test_matches_unique_and_searchsorted(self, values):
+        values = np.array(values)
+        column = _numeric_as_categorical(values)
+        levels, codes = self.by_search(values)
+        assert column.levels == levels
+        assert np.array_equal(column.codes, codes)
+
+    def test_signed_zeros_are_one_level(self):
+        column = _numeric_as_categorical(np.array([0.0, -0.0, 2.0, -0.0]))
+        assert column.levels == ("0", "2")
+        assert column.codes.tolist() == [0, 0, 1, 0]
+
+    def test_nan_on_an_undeleted_dataset(self):
+        values = [2.0, np.nan, 1.0, np.nan, 2.0]
+        data = Dataset({"y": numeric_column(range(5)), "x": numeric_column(values)})
+        assert variable_levels(data, "x") == ("1", "2", "nan")
+        column = _numeric_as_categorical(data["x"].values)
+        assert np.array_equal(column.codes, self.by_search(data["x"].values)[1])
+        assert column.codes.tolist() == [1, 2, 0, 2, 1]
 
 
 class TestProfileRow:
@@ -576,3 +626,64 @@ class TestLogDomain:
         with pytest.raises(NonPositiveLog) as exc:
             build_design(ast, data)
         assert exc.value.row == expected
+
+
+# --- infinite values --------------------------------------------------
+
+# Numeric factors a property formula draws from: x in main terms or
+# interactions, z only in interactions.
+X_FACTORS = ("x", "log(x)", "center(x, at=1)")
+Z_FACTORS = ("z", "log(z)")
+
+
+@st.composite
+def infinite_value_cases(draw):
+    """Keyed designs: n data rows repeat h base rows, each at least twice.
+    A base row's x or z may be +-inf, and log(x) would also reject -inf."""
+    h = draw(st.integers(3, 12))
+    n = draw(st.integers(2 * h, 3 * h))
+    pool = st.sampled_from([0.5, 2.0, 3.0, np.inf, -np.inf])
+    x, z = (draw(st.lists(pool, min_size=h, max_size=h)) for _ in range(2))
+    g = np.arange(h) % 3
+    base = draw(st.permutations(np.arange(n) % h))
+    data = Dataset({
+        "y": numeric_column(range(n)),
+        "x": numeric_column(np.array(x)[base]),
+        "z": numeric_column(np.array(z)[base]),
+        "g": CategoricalColumn(("a", "b", "c"), g[base]),
+    })
+    mains = draw(st.lists(st.sampled_from(X_FACTORS + ("g",)), unique=True))
+    crossed = draw(st.lists(
+        st.tuples(st.sampled_from(X_FACTORS + Z_FACTORS), st.booleans()).map(
+            lambda t: f"{t[0]}:g" if t[1] else f"g:{t[0]}"),
+        min_size=1, max_size=2))
+    terms = draw(st.permutations(mains + crossed))  # formula order is not encoding order
+    return data, parse_formula("y ~ " + " + ".join(terms))
+
+
+def first_infinite_value(ast, data):
+    """(variable, row) that NonFiniteValue must name: the first data row
+    of the first numeric factor, in encoding order, holding +-inf."""
+    terms = ([t for t in ast.terms if t.kind == "main"]
+             + [t for t in ast.terms if t.kind == "interaction"])
+    for term in terms:
+        for ref in term.factors:
+            if ref.name != "g":
+                infinite = np.isinf(data[ref.name].values)
+                if infinite.any():
+                    return ref.name, int(np.argmax(infinite))
+    return None
+
+
+class TestInfiniteValues:
+    @settings(max_examples=200, deadline=None)
+    @given(infinite_value_cases())
+    def test_names_the_first_row_of_the_first_infinite_factor(self, case):
+        data, ast = case
+        expected = first_infinite_value(ast, data)
+        if expected is None:
+            assert build_design(ast, data).cell_index is not None
+            return
+        with pytest.raises(NonFiniteValue) as exc:
+            build_design(ast, data)
+        assert (exc.value.name, exc.value.row) == expected

@@ -133,8 +133,8 @@ class TestValidation:
 
 class TestImport:
     def test_package_import_leaves_quadrature_unloaded(self):
-        # scipy.integrate costs most of the import time and only the
-        # quadrature oracle needs it, so it is imported on first use.
+        # No runtime path needs scipy: the quadrature oracle integrates
+        # with numpy alone, so importing the package loads no scipy.integrate.
         src = str(Path(dummyreg.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         probe = "import sys, dummyreg; print('scipy.integrate' in sys.modules)"
