@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from .dataset import listwise_delete, read_csv
-from .encode import build_design, design_references, relevel
+from .dataset import _line_of, listwise_delete, read_csv
+from .encode import build_design, design_references
 from .errors import (
     DummyregError,
     FormulaSyntaxError,
@@ -133,10 +133,7 @@ def _prepare(args: argparse.Namespace, require_refs: bool = False):
             raise UsageError(f"--refs variable {name!r} is not in the formula")
     data = read_csv(args.data)
     data = listwise_delete(data, [ast.response, *ast.variables()])
-    refs: dict[str, str] = {}
-    for name, level in args.refs:
-        refs = relevel(refs, name, level, data)
-    design = build_design(ast, data, args.scheme, refs)
+    design = build_design(ast, data, args.scheme, dict(args.refs))
     return ast, data, design
 
 
@@ -145,9 +142,8 @@ def _at_line(exc: Exception, args: argparse.Namespace) -> Exception:
 
     The library counts rows from 0 among those that listwise deletion
     kept. Only on this error path is the file read again: once to find
-    which rows were kept, and once by the csv module to count the lines
-    up to the row, so that a quoted cell holding line breaks counts
-    each of its lines.
+    which rows were kept, and once by _line_of to count the lines up to
+    the row.
     """
     if not isinstance(exc, (NonFiniteValue, NonPositiveLog)) or exc.row is None:
         return exc
@@ -158,10 +154,7 @@ def _at_line(exc: Exception, args: argparse.Namespace) -> Exception:
         missing |= data[name].missing
     row = int(np.flatnonzero(~missing)[exc.row])
     with open(args.data, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh, strict=True)
-        for _ in range(row + 1):  # the header and the rows before this one
-            next(reader)
-        line = reader.line_num + 1
+        line = _line_of(fh, 0, row)
     if isinstance(exc, NonFiniteValue):
         return NonFiniteValue(exc.name, exc.row, line=line)
     return NonPositiveLog(exc.row, line=line)

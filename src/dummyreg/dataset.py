@@ -10,7 +10,6 @@ keeps its full vocabulary even when some level has no observed rows.
 from __future__ import annotations
 
 import array
-import bisect
 import csv
 import functools
 import io
@@ -18,7 +17,7 @@ import itertools
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Union
+from typing import IO, Callable, Iterable, Union
 
 import numpy as np
 
@@ -207,32 +206,6 @@ class _Codebook:
         return list(distinct), code_at_row[np.frombuffer(self.rows, dtype=np.int64)]
 
 
-class _RowLines:
-    """The physical line each data row starts on, counted as csv counts.
-
-    A row takes one line unless a quoted cell in it holds line breaks.
-    Only blocks of rows that took more lines than rows are scanned, and
-    only their rows of more than one line are kept.
-    """
-
-    def __init__(self, first: int):
-        self.first = first  # the line data row 0 starts on
-        self.rows: list[int] = []  # rows of more than one line, ascending
-        self.extra: list[int] = []  # lines past one a row, summed through it
-
-    def add(self, start: int, block: list[list[str]]) -> None:
-        """Record the rows from row start on, if they take extra lines."""
-        for i, row in enumerate(block):
-            breaks = sum(map(_line_breaks, row))
-            if breaks:
-                self.rows.append(start + i)
-                self.extra.append(breaks + (self.extra[-1] if self.extra else 0))
-
-    def line(self, row: int) -> int:
-        before = bisect.bisect_left(self.rows, row)
-        return self.first + row + (self.extra[before - 1] if before else 0)
-
-
 def _categorical(
     distinct: list,
     codes: np.ndarray,
@@ -264,7 +237,7 @@ def _number(value: str) -> float | None:
 
 
 def _read_column(
-    name: str, book: _Codebook, spec: ColumnSchema, lines: _RowLines
+    name: str, book: _Codebook, spec: ColumnSchema, line_of: Callable[[int], int]
 ) -> Column:
     distinct, codes = book.factorize(strip=True)
     if spec.kind == "categorical":
@@ -272,7 +245,7 @@ def _read_column(
     numbers = [_number(value) for value in distinct]
     bad = [i for i, x in enumerate(numbers) if x is None]
     if spec.kind == "numeric" and bad:
-        line = lines.line(int(np.argmax(codes == bad[0])))
+        line = line_of(int(np.argmax(codes == bad[0])))
         raise MalformedCsv(line, f"column {name!r}: {distinct[bad[0]]!r} is not a number")
     if spec.kind == "numeric" or (
         not bad and any(value not in MISSING_TOKENS for value in distinct)
@@ -291,14 +264,17 @@ def read_csv(source: Union[str, IO[str]], schema: Schema | None = None) -> Datas
     first-appearance order. A path or binary stream may start with a
     UTF-8 byte-order mark, which is skipped. Bytes that are not UTF-8
     raise MalformedCsv at the line of the first of them.
+    A stream that cannot seek is read into memory first: both readers,
+    and the line count of an error, read the text from its start.
     """
     if isinstance(source, str):
         with open(source, "rb") as fh:
             return read_csv(fh, schema)
-    if isinstance(source.read(0), bytes):
-        if not source.seekable():
-            # Both readers may have to go back to the start.
-            source = io.BytesIO(source.read())
+    binary = isinstance(source.read(0), bytes)
+    if not source.seekable():
+        content = source.read()
+        source = io.BytesIO(content) if binary else io.StringIO(content, newline="")
+    if binary:
         start = source.tell()
         # Detached afterwards, so the caller's stream stays open.
         text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
@@ -310,12 +286,11 @@ def read_csv(source: Union[str, IO[str]], schema: Schema | None = None) -> Datas
         finally:
             text.detach()
     schema = schema or Schema()
-    if source.seekable():
-        start = source.tell()
-        data = _read_fast(source, schema)
-        if data is not None:
-            return data
-        source.seek(start)
+    start = source.tell()
+    data = _read_fast(source, schema)
+    if data is not None:
+        return data
+    source.seek(start)
     return _read_strict(source, schema)
 
 
@@ -336,10 +311,20 @@ def _undecodable(raw: IO[bytes]) -> MalformedCsv:
     raise AssertionError("no undecodable byte")
 
 
-def _line_breaks(text: str | bytes) -> int:
-    """Line breaks in text: LF, CR and CRLF, as newline="" reads them."""
-    lf, cr = ("\n", "\r") if isinstance(text, str) else (b"\n", b"\r")
-    return text.count(lf) + text.count(cr) - text.count(cr + lf)
+def _line_breaks(raw: bytes) -> int:
+    """Line breaks in raw: LF, CR and CRLF, as newline="" reads them."""
+    return raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
+
+
+def _line_of(source: IO[str], start: int, row: int) -> int:
+    """The line data row `row` (from 0) starts on, as the csv module
+    counts lines, reading source again from start, where the header
+    begins. Only error paths call this."""
+    source.seek(start)
+    reader = csv.reader(source, strict=True)
+    for _ in range(row + 1):  # the header and the rows before this one
+        next(reader)
+    return reader.line_num + 1
 
 
 def _read_fast(source: IO[str], schema: Schema) -> Dataset | None:
@@ -352,6 +337,7 @@ def _read_fast(source: IO[str], schema: Schema) -> Dataset | None:
     predicted numeric holds a non-number, when numpy reads a number as
     not finite, or when the text is not UTF-8.
     """
+    line_of = functools.partial(_line_of, source, source.tell())
     try:
         header = source.readline()
         if not _plain(header) or len(header) > csv.field_size_limit():
@@ -365,10 +351,9 @@ def _read_fast(source: IO[str], schema: Schema) -> Dataset | None:
         return None
     if body is None:
         return None
-    lines = _RowLines(2)  # no quotes, so one line a row
     return Dataset({
         name: NumericColumn(values) if book is None
-        else _read_column(name, book, spec, lines)
+        else _read_column(name, book, spec, line_of)
         for name, spec, book, values in zip(names, specs, *body)
     })
 
@@ -482,31 +467,31 @@ def _chunk_numbers(cells: list[str]) -> np.ndarray | None:
 
 
 def _read_strict(source: IO[str], schema: Schema) -> Dataset:
-    """read_csv by the csv module: the oracle for every error and type."""
+    """read_csv by the csv module: the oracle for every error and type.
+
+    A ragged row or a bad number names the line its row starts on, which
+    _line_of counts by reading the text again."""
     # Rows are transposed a block at a time and each block column is
     # coded at once, so only one block of rows and cells is alive at a
     # time. A ragged row is raised only after the whole file has
     # tokenized, because a later csv.Error takes precedence, as do the
     # header checks.
+    line_of = functools.partial(_line_of, source, source.tell())
     reader = csv.reader(source, strict=True)
     n_rows, ragged = 0, None
     try:
         header = next(reader, None)
         width = len(header or ())
         books = [_Codebook() for _ in range(width)]
-        lines = _RowLines(reader.line_num + 1)
         while block := list(itertools.islice(reader, _BLOCK_ROWS)):
             if ragged is None:
-                # More lines than rows: some quoted cell held a line break.
-                if reader.line_num - lines.line(n_rows) + 1 > len(block):
-                    lines.add(n_rows, block)
                 widths = list(map(len, block))
                 if widths.count(width) == len(block):
                     for book, cells in zip(books, zip(*block)):
                         book.add(cells)
                 else:
                     i = next(j for j, got in enumerate(widths) if got != width)
-                    ragged = RaggedRow(lines.line(n_rows + i), widths[i], width)
+                    ragged = n_rows + i, widths[i]
             n_rows += len(block)
     except csv.Error as exc:
         raise MalformedCsv(reader.line_num, str(exc)) from None
@@ -522,9 +507,9 @@ def _read_strict(source: IO[str], schema: Schema) -> Dataset:
     if not n_rows:
         raise EmptyInput()
     if ragged is not None:
-        raise ragged
+        raise RaggedRow(line_of(ragged[0]), ragged[1], width)
     return Dataset({
-        name: _read_column(name, book, schema.for_name(name), lines)
+        name: _read_column(name, book, schema.for_name(name), line_of)
         for name, book in zip(header, books)
     })
 

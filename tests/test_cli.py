@@ -364,6 +364,25 @@ class TestExitCodes:
         )
         assert code == 3
 
+    # A variable used as a number takes no reference level, whether or
+    # not the level names one of its values.
+    @pytest.mark.parametrize("level", ["2", "999"])
+    def test_refs_on_a_number_used_as_a_number(self, capsys, tmp_path, level):
+        path = tmp_path / "data.csv"
+        path.write_text("y,g,x\n1.5,a,1\n2.5,b,2\n3.0,a,3\n4.5,b,1\n5.0,a,2\n")
+        code, out, err = run_cli(
+            capsys, "fit", "--data", str(path), "--formula", "y ~ g + x",
+            "--refs", f"x={level}")
+        assert (code, out, err) == (3, "", "error: variable 'x' is not categorical\n")
+
+    def test_response_error_before_unknown_reference_level(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("y,g\nlow,a\nhigh,b\nlow,a\nhigh,b\n")
+        code, out, err = run_cli(
+            capsys, "fit", "--data", str(path), "--formula", "y ~ g",
+            "--refs", "g=zzz")
+        assert (code, out, err) == (3, "", "error: response 'y' is not numeric\n")
+
     def test_rank_deficiency(self, capsys, tmp_path):
         lines = ["d0,d1,d2,y"]
         rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1)] * 3

@@ -212,28 +212,33 @@ def _read_or_error(reader, text, schema):
         return type(exc), str(exc)
 
 
+class _Unseekable(io.StringIO):
+    """A text stream that, like a pipe, cannot seek or tell."""
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+
+def _read_unseekable(text, schema=None):
+    return read_csv(_Unseekable(text, newline=""), schema)
+
+
 class TestReaderMatchesReference:
     @settings(max_examples=400, deadline=None)
     @given(csv_cases(), st.sampled_from([1, 2, 3, dataset._BLOCK_ROWS]))
     def test_same_columns_or_same_error(self, case, block_rows):
         text, schema = case
         want = _read_or_error(reference_read_csv, text, schema)
-        with mock.patch.object(dataset, "_BLOCK_ROWS", block_rows):
-            got = _read_or_error(read_csv_text, text, schema)
-        if isinstance(want, tuple):
-            assert got == want
-            return
-        assert isinstance(got, Dataset)
-        assert list(got.columns) == list(want.columns)
-        for name, col in want.columns.items():
-            other = got[name]
-            assert type(other) is type(col)
-            if isinstance(col, CategoricalColumn):
-                assert other.levels == col.levels
-                assert other.codes.tolist() == col.codes.tolist()
-                assert other.pinned == col.pinned
-            else:
-                assert other.values.tobytes() == col.values.tobytes()
+        for reader in (read_csv_text, _read_unseekable):
+            with mock.patch.object(dataset, "_BLOCK_ROWS", block_rows):
+                got = _read_or_error(reader, text, schema)
+            _assert_same(got, want)
 
 
 class TestBlockBoundaries:
@@ -579,6 +584,39 @@ class TestDecoding:
         with pytest.raises(MalformedCsv) as exc:
             read_csv(str(path))
         assert str(exc.value) == "malformed CSV at line 3: byte 0xe9 is not UTF-8"
+
+
+def _text_pipe(text):
+    """The read end of a pipe that holds text, opened as a text stream."""
+    read_end, write_end = os.pipe()
+    os.write(write_end, text.encode())
+    os.close(write_end)
+    return open(read_end, "r", encoding="utf-8", newline="")
+
+
+def _read_text_pipe(text, schema=None):
+    with _text_pipe(text) as fh:
+        assert not fh.seekable()
+        return read_csv(fh, schema)
+
+
+class TestTextPipe:
+    def test_plain_text_is_read_fast(self):
+        text = "x,g\n1,a\nNA,b\n2.5,a\n"
+        got, by_fast = _read_traced(_read_text_pipe, text)
+        assert by_fast
+        _assert_same(got, reference_read_csv(text))
+
+    @pytest.mark.parametrize("bad, schema, message", [
+        ("3.0,a,x", None, "line 5 has 3 cells, header has 2"),
+        ("oops,a", Schema({"y": ColumnSchema("numeric")}),
+         "malformed CSV at line 5: column 'y': 'oops' is not a number"),
+    ], ids=["ragged", "not_a_number"])
+    def test_error_after_a_quoted_line_break_names_its_line(self, bad, schema, message):
+        text = f'y,g\n1.5,"a\nb"\n2.5,b\n{bad}\n4.5,b\n'
+        want = _read_or_error(reference_read_csv, text, schema)
+        assert want[1] == message
+        assert _read_or_error(_read_text_pipe, text, schema) == want
 
 
 class TestLevels:
