@@ -128,9 +128,13 @@ def _prepare(args: argparse.Namespace, require_refs: bool = False):
     in_formula = set(ast.variables())
     if require_refs and not args.refs:
         raise UsageError("relevel requires at least one --refs VAR=LEVEL")
+    named = set()
     for name, _ in args.refs:
         if name not in in_formula:
             raise UsageError(f"--refs variable {name!r} is not in the formula")
+        if name in named:
+            raise UsageError(f"--refs names variable {name!r} more than once")
+        named.add(name)
     data = read_csv(args.data)
     data = listwise_delete(data, [ast.response, *ast.variables()])
     design = build_design(ast, data, args.scheme, dict(args.refs))

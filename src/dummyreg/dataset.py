@@ -63,26 +63,43 @@ class NumericColumn:
     def missing(self) -> np.ndarray:
         return np.isnan(self.values)
 
-    @property
+    @functools.cached_property
     def has_missing(self) -> bool:
+        """Whether any value is NaN, tested once per column."""
         return bool(np.isnan(self.values).any())
+
+
+def _code_dtype(n_levels: int) -> np.dtype:
+    """The narrowest signed integer type that holds -1..n_levels-1."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if n_levels - 1 <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 @dataclass(frozen=True)
 class CategoricalColumn:
     levels: tuple[str, ...]
-    codes: np.ndarray  # int64 indices into levels, -1 = missing
+    # Indices into levels, -1 = missing, in the narrowest signed integer
+    # type that holds -1..len(levels)-1 (int8 for up to 128 levels).
+    codes: np.ndarray
     pinned: bool = False
 
     def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int64)
-        codes.flags.writeable = False
+        codes = np.asarray(self.codes)
+        if codes.dtype.kind not in "iu":
+            codes = np.asarray(self.codes, dtype=np.int64)
         object.__setattr__(self, "levels", tuple(self.levels))
-        object.__setattr__(self, "codes", codes)
         if len(self.levels) != len(set(self.levels)):
             raise ValueError("duplicate level names")
-        if codes.size and (codes.max() >= len(self.levels) or codes.min() < -1):
+        # Tested in the input's own integer type, before narrowing, so
+        # that no code can wrap into range.
+        if codes.size and (int(codes.max()) >= len(self.levels)
+                           or int(codes.min()) < -1):
             raise ValueError("code out of range for level vocabulary")
+        codes = codes.astype(_code_dtype(len(self.levels)), copy=False)
+        codes.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -218,7 +235,7 @@ def _categorical(
     index = {level: i for i, level in enumerate(levels)}
     # distinct is in first-appearance order, so the first stranger found
     # here is also the first one in row order.
-    remap = np.empty(len(distinct), dtype=np.int64)
+    remap = np.empty(len(distinct), dtype=_code_dtype(len(levels)))
     for i, value in enumerate(distinct):
         if value in MISSING_TOKENS:
             remap[i] = -1
@@ -541,7 +558,9 @@ def listwise_delete(data: Dataset, variables: Iterable[str]) -> Dataset:
     columns: dict[str, Column] = {}
     for name, col in data.columns.items():
         if isinstance(col, NumericColumn):
-            columns[name] = NumericColumn(col.values[keep])
+            kept = columns[name] = NumericColumn(col.values[keep])
+            if name in names:  # its NaN rows are the ones just dropped
+                kept.__dict__["has_missing"] = False
         else:
             columns[name] = _kept_categorical(col, keep, dropped)
     return Dataset(columns)
@@ -560,7 +579,7 @@ def _kept_categorical(
     else:
         present = np.flatnonzero(counts)
         # One slot past the levels maps the missing code -1 to -1.
-        remap = np.full(len(col.levels) + 1, -1, dtype=np.int64)
+        remap = np.full(len(col.levels) + 1, -1, dtype=codes.dtype)
         remap[present] = np.arange(present.size)
         new_levels = tuple(col.levels[i] for i in present)
         kept = CategoricalColumn(new_levels, remap[codes])

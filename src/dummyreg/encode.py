@@ -410,14 +410,19 @@ _ROW_BLOCK = 1 << 16
 def _compact(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Renumber keys in [0, size) to the m occupied ones, in ascending
     order, in place when counting; returns the new keys and the m keys'
-    row counts."""
+    row counts. Keys that occupy all of [0, size) are returned as they
+    are, and a read-only key (a column's own codes) is never written."""
     if size > _KEY_SPAN * key.size:
         _, key, counts = np.unique(key, return_inverse=True, return_counts=True)
         return key.reshape(-1), counts
     counts = np.bincount(key, minlength=size)
+    if counts.all():
+        return key, counts
     occupied = np.flatnonzero(counts)
     lookup = np.empty(size, dtype=np.intp)
     lookup[occupied] = np.arange(occupied.size)
+    if not key.flags.writeable:
+        return lookup[key], counts[occupied]
     for start in range(0, key.size, _ROW_BLOCK):
         block = key[start:start + _ROW_BLOCK]
         block[:] = lookup[block]
@@ -454,12 +459,15 @@ def _occupied_cells(
             if k == n:
                 return columns, None, None
         if key is None:
-            key, size = digit.astype(np.intp), k
+            key, size = digit, k
             continue
         if size * k > _KEY_SPAN * n:
             key, counts = _compact(key, size)
             size = counts.size
-        key *= k
+        if key.flags.writeable:
+            key *= k
+        else:  # the first column's own narrow codes: widen, never write
+            key = np.multiply(key, k, dtype=np.intp)
         key += digit
         size *= k
     if key is None:

@@ -164,7 +164,8 @@ def fit(design: DesignMatrix) -> FitResult:
             t_values[i] = math.copysign(math.inf, coefficients[i])
     p_two = np.array([two_tailed_p(t, df) for t in t_values])
 
-    tss = float(((y - y.mean()) ** 2).sum())
+    centred = y - y.mean()
+    tss = float(np.square(centred, out=centred).sum())
     r_squared = 0.0 if tss == 0 else min(max(1.0 - rss / tss, 0.0), 1.0)
 
     return FitResult(

@@ -326,6 +326,14 @@ class TestExitCodes:
         )
         assert code == 2 and "year" in err
 
+    # Checked before the CSV is read: the data path here does not exist.
+    def test_refs_naming_a_variable_twice(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "fit", "--data", str(tmp_path / "nope.csv"),
+            "--formula", "y ~ g + x", "--refs", "g=zzz", "--refs", "g=b")
+        assert (code, out) == (2, "")
+        assert err == "error: --refs names variable 'g' more than once\n"
+
     @pytest.mark.parametrize("places", ["-1", "two"])
     def test_bad_rounding(self, capsys, two_group_csv, places):
         code, out, err = run_cli(

@@ -803,6 +803,27 @@ class TestLevelCounts:
         assert _fit_outcome(data, scheme) == once
         assert _fit_outcome(_count_dataset(case), scheme) == once
 
+    @settings(max_examples=200, deadline=None)
+    @given(count_cases())
+    def test_has_missing_matches_a_fresh_test(self, case):
+        # w holds NaN but is not deleted on, so it is tested only when
+        # read, and reads True.
+        data = _count_dataset(case)
+        data = Dataset({**data.columns, "w": NumericColumn([np.nan] * data.n_rows)})
+        try:
+            kept = listwise_delete(data, ["y", "x", "g", "h"])
+        except EmptyAfterDeletion:
+            return
+        assert "has_missing" not in kept["w"].__dict__
+        assert kept["w"].has_missing is True
+        for name, column in kept.columns.items():
+            if isinstance(column, NumericColumn):
+                fresh = bool(np.isnan(column.values).any())
+            else:
+                fresh = bool((column.codes < 0).any())
+                assert column.codes.dtype == np.int8, name
+            assert column.has_missing == fresh, name
+
     def test_counts_are_read_only(self):
         col = categorical_column(["b", "a", "NA", "b"])
         with pytest.raises(ValueError):
@@ -815,7 +836,10 @@ class TestLevelCounts:
         # beyond the n-row pattern index, build_design holds a block of
         # rows. One more n-row int64 array, such as a recount of a
         # column's codes or a key folded through fresh temporaries,
-        # breaks these bounds (at this commit: 0.23 MB and 2.13 MB).
+        # breaks these bounds (at this commit: 0.22 MB and 2.31 MB).
+        # The kept columns themselves are y as float64 and one byte per
+        # row for each of a, b and c, whose largest code is at most 127;
+        # int64 codes would hold 6.34 MB here (at this commit: 2.18 MB).
         n = 200_000
         rng = np.random.default_rng(5)
         a = rng.integers(0, 5, n)
@@ -838,8 +862,45 @@ class TestLevelCounts:
         finally:
             tracemalloc.stop()
         assert design.cell_index is not None and len(design.cell_table) == 60
+        assert held < column + 3 * n + n, (held, column)  # n: a mask's slack
         assert peak - held < column / 4, (peak - held, column)
         assert build_peak < 1.5 * column, (build_peak, column)
+
+
+class TestCodeTypes:
+    """Codes are range-checked in the input's own type, then stored in
+    the narrowest signed integer type that holds -1..k-1."""
+
+    @pytest.mark.parametrize("codes", [
+        np.array([0, 256], dtype=np.int64),  # 0 as int8
+        np.array([1, 2**40], dtype=np.int64),  # 0 as int8, int16 or int32
+        np.array([0, -2], dtype=np.int64),
+        np.array([0, 255], dtype=np.uint8),  # -1 as int8
+        [0, 256],
+    ])
+    def test_out_of_range_codes_raise_and_never_wrap(self, codes):
+        with pytest.raises(ValueError, match="out of range"):
+            CategoricalColumn(("a", "b"), codes)
+
+    @pytest.mark.parametrize("largest, dtype", [
+        (127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32),
+    ])
+    def test_narrowest_type_at_the_boundaries(self, largest, dtype):
+        levels_in = tuple(str(i) for i in range(largest + 1))
+        for codes in (np.array([-1, 0, largest]), [-1, 0, largest],
+                      np.array([0, largest], dtype=np.uint16)):
+            column = CategoricalColumn(levels_in, codes)
+            assert column.codes.dtype == dtype
+            assert column.codes.tolist() == np.asarray(codes).tolist()
+            assert not column.codes.flags.writeable
+
+    @pytest.mark.parametrize("codes", [
+        [0.0, 1.9, -1.0], np.array([1.5, 0.2]), [True, False], [], ["1", "0"],
+    ])
+    def test_non_integer_input_converts_as_int64_did(self, codes):
+        column = CategoricalColumn(("a", "b"), codes)
+        assert column.codes.dtype == np.int8
+        assert column.codes.tolist() == np.asarray(codes, dtype=np.int64).tolist()
 
 
 class TestColumnFactories:
