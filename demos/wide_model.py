@@ -52,7 +52,7 @@ def main() -> None:
     data = build_data()
     design = build_design(parse_formula(FORMULA), data)
 
-    print(f"{design.values.shape[1]} design columns:")
+    print(f"{design.n_cols} design columns:")
     for label in design.labels:
         print(f"  {label.text}")
     print()

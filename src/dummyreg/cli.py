@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .dataset import _line_of, listwise_delete, read_csv
+from .dataset import _complete_rows, _line_of, listwise_delete, read_csv
 from .encode import build_design, design_references
 from .errors import (
     DummyregError,
@@ -152,11 +152,8 @@ def _at_line(exc: Exception, args: argparse.Namespace) -> Exception:
     if not isinstance(exc, (NonFiniteValue, NonPositiveLog)) or exc.row is None:
         return exc
     ast = parse_formula(args.formula)
-    data = read_csv(args.data)
-    missing = np.zeros(data.n_rows, dtype=bool)
-    for name in [ast.response, *ast.variables()]:
-        missing |= data[name].missing
-    row = int(np.flatnonzero(~missing)[exc.row])
+    kept = _complete_rows(read_csv(args.data), [ast.response, *ast.variables()])
+    row = int(np.flatnonzero(kept)[exc.row])
     with open(args.data, encoding="utf-8-sig", newline="") as fh:
         line = _line_of(fh, 0, row)
     if isinstance(exc, NonFiniteValue):
@@ -196,8 +193,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     # numbers; the blocks of the n rows also cover the m <= n patterns.
     csv.writer(sys.stdout, lineterminator="\n").writerow(
         [label.text for label in design.labels] + [design.response_name])
-    table, y = design.cell_table, design.response
-    cell = design.cell_index if design.cell_index is not None else np.arange(len(y))
+    table, cell, y = design.cell_table, design.cell_index, design.response
     blocks = [slice(start, start + _ENCODE_BLOCK_ROWS)
               for start in range(0, len(y), _ENCODE_BLOCK_ROWS)]
     patterns = [",".join(map(repr, row)) + ","

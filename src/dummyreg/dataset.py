@@ -47,13 +47,26 @@ _BLOCK_ROWS = 512
 _CHUNK_CHARS = 1 << 16
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr made read-only, so that no caller can change a column's data
+    under the facts it caches. A view of all of an array's data freezes
+    that array too; any other view (a slice, or of a bytearray) is copied."""
+    owner = arr.base
+    if (isinstance(owner, np.ndarray) and owner.base is None
+            and owner.nbytes == arr.nbytes):
+        owner.flags.writeable = False
+    elif owner is not None:
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class NumericColumn:
     values: np.ndarray  # float64, NaN = missing
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        arr.flags.writeable = False
+        arr = _frozen(np.asarray(self.values, dtype=np.float64))
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
@@ -97,8 +110,7 @@ class CategoricalColumn:
         if codes.size and (int(codes.max()) >= len(self.levels)
                            or int(codes.min()) < -1):
             raise ValueError("code out of range for level vocabulary")
-        codes = codes.astype(_code_dtype(len(self.levels)), copy=False)
-        codes.flags.writeable = False
+        codes = _frozen(codes.astype(_code_dtype(len(self.levels)), copy=False))
         object.__setattr__(self, "codes", codes)
 
     def __len__(self) -> int:
@@ -384,13 +396,14 @@ def _read_body(source: IO[str], specs: list[ColumnSchema]) -> tuple | None:
     reader. A chunk whose numbers loadtxt rejects (say, an "NA") is
     parsed again with every column as text. A first pass checks the
     characters and counts the lines, so that each float column is
-    allocated once, at full size.
+    allocated once, at its exact size, and returned whole.
     """
-    start, capacity = source.tell(), 1
+    start, capacity, chunk = source.tell(), 0, ""
     for chunk in iter(functools.partial(source.read, _CHUNK_CHARS), ""):
         if not _plain(chunk):
             return None
         capacity += chunk.count("\n")
+    capacity += not chunk.endswith("\n")  # an unterminated last line
     source.seek(start)
     books: list = [None] * len(specs)
     floats: list = [None] * len(specs)
@@ -438,9 +451,9 @@ def _read_body(source: IO[str], specs: list[ColumnSchema]) -> tuple | None:
                 return None
             floats[j][n_rows:end] = values
         n_rows = end
-    if dtype is None:
+    if dtype is None or n_rows != capacity:
         return None
-    return books, [None if values is None else values[:n_rows] for values in floats]
+    return books, floats
 
 
 def _plain(text: str) -> bool:
@@ -544,11 +557,7 @@ def listwise_delete(data: Dataset, variables: Iterable[str]) -> Dataset:
     source's less those of the dropped rows.
     """
     names = list(variables)
-    keep = np.ones(data.n_rows, dtype=bool)
-    for name in names:
-        column = data[name]
-        if column.has_missing:
-            keep &= ~column.missing
+    keep = _complete_rows(data, names)
     if not keep.any():
         raise EmptyAfterDeletion()
     if keep.all():
@@ -564,6 +573,17 @@ def listwise_delete(data: Dataset, variables: Iterable[str]) -> Dataset:
         else:
             columns[name] = _kept_categorical(col, keep, dropped)
     return Dataset(columns)
+
+
+def _complete_rows(data: Dataset, variables: Iterable[str]) -> np.ndarray:
+    """Mask of the rows with no missing value in any of the given columns:
+    the rows that listwise deletion keeps."""
+    keep = np.ones(data.n_rows, dtype=bool)
+    for name in variables:
+        column = data[name]
+        if column.has_missing:
+            keep &= ~column.missing
+    return keep
 
 
 def _kept_categorical(

@@ -3,9 +3,9 @@
 A parsed formula plus a dataset become a labeled numeric matrix. Each
 categorical variable contributes k-1 contrast columns per the scheme in
 force; numeric variables pass through transforms; interaction terms are
-elementwise products of their constituents' column blocks. When rows
-repeat a covariate pattern, the design is stored as one row per
-occupied pattern plus each data row's pattern.
+elementwise products of their constituents' column blocks. The design
+is stored as one row per occupied covariate pattern plus each data
+row's pattern.
 """
 
 from __future__ import annotations
@@ -99,10 +99,10 @@ class DesignMatrix:
 
     ``cell_table`` holds one row per occupied covariate pattern (the
     values of every formula variable) and ``cell_index`` maps each of
-    the n data rows to its table row. A design whose n rows are all
-    distinct has no index: its table is the n x p matrix itself.
-    ``values`` is the n x p matrix either way; a pattern design gathers
-    it on first access and keeps it.
+    the n data rows to its table row. When the n rows are all distinct
+    the table has n rows, and a design built without an index gets the
+    identity index. ``values`` is the n x p gather, made on first
+    access and kept.
     """
 
     labels: tuple[ColumnLabel, ...]
@@ -110,12 +110,12 @@ class DesignMatrix:
     response_name: str
     info: DesignInfo | None
     cell_table: np.ndarray  # m x p, float64
-    cell_index: np.ndarray | None  # n table rows, or None when m = n
+    cell_index: np.ndarray  # n table rows, intp
 
     def __init__(self, values, labels, response, response_name="y", info=None,
                  *, cell_index=None):
-        """``values`` is the n x p matrix, or with ``cell_index`` the
-        m x p table that the index gathers rows from."""
+        """``values`` is the m x p table that ``cell_index`` gathers rows
+        from; without an index, table row i is data row i."""
         table = np.asarray(values, dtype=np.float64)
         response = np.asarray(response, dtype=np.float64)
         table.flags.writeable = False
@@ -123,16 +123,15 @@ class DesignMatrix:
         labels = tuple(labels)
         if table.ndim != 2 or table.shape[1] != len(labels):
             raise ValueError("values shape does not match label count")
-        n = table.shape[0]
-        if cell_index is not None:
-            cell_index = np.asarray(cell_index, dtype=np.intp)
-            cell_index.flags.writeable = False
-            if cell_index.ndim != 1 or (
-                cell_index.size and not 0 <= cell_index.min() <= cell_index.max() < n
-            ):
-                raise ValueError("cell index out of range for the table")
-            n = cell_index.size
-        if response.shape != (n,):
+        m = table.shape[0]
+        cell_index = np.asarray(np.arange(m) if cell_index is None else cell_index,
+                                dtype=np.intp)
+        cell_index.flags.writeable = False
+        if cell_index.ndim != 1 or (
+            cell_index.size and not 0 <= cell_index.min() <= cell_index.max() < m
+        ):
+            raise ValueError("cell index out of range for the table")
+        if response.shape != cell_index.shape:
             raise ValueError("response length does not match row count")
         for name, value in (("labels", labels), ("response", response),
                             ("response_name", response_name), ("info", info),
@@ -142,19 +141,12 @@ class DesignMatrix:
     @cached_property
     def values(self) -> np.ndarray:
         """The n x p design matrix, read-only."""
-        if self.cell_index is None:
-            return self.cell_table
-        values = self.cell_table[self.cell_index]
-        values.flags.writeable = False
-        return values
+        return _seed(self, "values", self.cell_table[self.cell_index])
 
     @cached_property
     def cell_counts(self) -> np.ndarray:
         """Data rows per table row, read-only."""
-        if self.cell_index is None:
-            counts = np.ones(len(self.cell_table), dtype=np.intp)
-        else:
-            counts = np.bincount(self.cell_index, minlength=len(self.cell_table))
+        counts = np.bincount(self.cell_index, minlength=len(self.cell_table))
         return _seed(self, "cell_counts", counts)
 
     @property
@@ -431,9 +423,8 @@ def _compact(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _occupied_cells(
     columns: Mapping[str, Column], n: int
-) -> tuple[Mapping[str, Column], np.ndarray | None, np.ndarray | None]:
-    """The rows to encode: one per occupied covariate pattern when some
-    rows share one, else all n.
+) -> tuple[Mapping[str, Column], np.ndarray, np.ndarray]:
+    """The rows to encode, one per occupied covariate pattern.
 
     ``columns`` holds every formula variable as the encoder reads it
     (``cat()`` numerics converted). A row's pattern folds one digit per
@@ -445,8 +436,8 @@ def _occupied_cells(
     all-categorical design is keyed in O(n); only numeric columns with
     very many distinct values make the compaction sort. Returns the
     columns to encode (each pattern's values, from one of its rows),
-    the n-row pattern index and the m patterns' row counts; when all n
-    rows differ it returns the columns as given and no index or counts.
+    the n-row pattern index and the m patterns' row counts; a numeric
+    column of n distinct values gives the columns as given and arange(n).
     """
     key, size = None, 1
     for column in columns.values():
@@ -457,7 +448,7 @@ def _occupied_cells(
                                         return_inverse=True)
             digit, k = digit.reshape(-1), distinct.size
             if k == n:
-                return columns, None, None
+                return columns, np.arange(n), np.ones(n, dtype=np.intp)
         if key is None:
             key, size = digit, k
             continue
@@ -474,8 +465,6 @@ def _occupied_cells(
         key = np.zeros(n, dtype=np.intp)
     key, counts = _compact(key, size)
     m = counts.size
-    if m >= n:
-        return columns, None, None
     first = np.empty(m, dtype=np.intp)  # any row of a pattern stands for all
     for start in range(0, n, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, n)
@@ -542,13 +531,11 @@ def build_design(
             )
 
     contrasts, terms, labels = _layout(ast, categoricals)
-    rows = data.n_rows if counts is None else counts.size
-    table = _encode(terms, contrasts, columns, rows, len(labels), index=cell)
+    table = _encode(terms, contrasts, columns, counts.size, len(labels), index=cell)
     info = DesignInfo(ast, default_scheme, categoricals)
     design = DesignMatrix(table, labels, response_col.values, ast.response, info,
                           cell_index=cell)
-    if counts is not None:
-        _seed(design, "cell_counts", counts)
+    _seed(design, "cell_counts", counts)
     return design
 
 

@@ -99,23 +99,20 @@ def fit(design: DesignMatrix) -> FitResult:
 
     The design is solved from per-pattern sufficient statistics: the
     rows of ``sqrt(count) * [table row | pattern mean]`` have the same
-    normal equations as the n x p problem. A design without a pattern
-    index is its own table, each row a pattern of count 1, for which
-    this is exact. That matrix is reduced to its (p+1)-square R factor
-    without forming Q; the coefficients and their covariance come from
-    back-substitution in R. The rank test scans R's columns, scaled to
+    normal equations as the n x p problem, and are its rows when each
+    pattern has one row. That matrix is reduced to its (p+1)-square R
+    factor without forming Q; the coefficients and their covariance come
+    from back-substitution in R. The rank test scans R's columns, scaled to
     unit norm, in formula order: a column closer than RANK_TOL to the
     span of the earlier columns kept is dependent, whatever its scale.
     Residuals and RSS come from all n rows. A non-finite table value or
     pattern mean raises NonFiniteValue, naming the first data row on
     that table row, or the table row itself when no data row uses it.
     """
-    table = design.cell_table
-    y = design.response
+    table, cell, y = design.cell_table, design.cell_index, design.response
     n, p = design.n_rows, design.n_cols
     if n <= p:
         raise TooFewRows(n, p)
-    cell = design.cell_index if design.cell_index is not None else np.arange(n)
 
     counts = design.cell_counts
     weight = np.sqrt(counts)
@@ -254,12 +251,11 @@ def _betai(a: float, b: float, x: float, y: float) -> float:
         return 0.0
     if y <= 0.0:
         return 1.0
-    ln_front = (
-        _lgamma_ratio(a, b)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log(y)
-    )
+    # Each log is taken from the smaller of x and y, which keeps its
+    # relative precision; the larger one is 1 less the smaller.
+    log_x = math.log(x) if x <= y else math.log1p(-y)
+    log_y = math.log(y) if y <= x else math.log1p(-x)
+    ln_front = _lgamma_ratio(a, b) - math.lgamma(b) + a * log_x + b * log_y
     front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a

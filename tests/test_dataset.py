@@ -43,6 +43,7 @@ from dummyreg.errors import (
     UnknownVariable,
 )
 
+from dummyreg.encode import _occupied_cells
 from util import reference_read_csv
 
 
@@ -861,10 +862,88 @@ class TestLevelCounts:
             build_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert design.cell_index is not None and len(design.cell_table) == 60
+        assert len(design.cell_table) == 60 < design.n_rows
         assert held < column + 3 * n + n, (held, column)  # n: a mask's slack
         assert peak - held < column / 4, (peak - held, column)
         assert build_peak < 1.5 * column, (build_peak, column)
+
+
+class TestOwnedData:
+    """A column's data cannot change under the facts it caches: a view of
+    all of an array is frozen with that array, and any other view is
+    copied."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(count_cases(), st.booleans(),
+           st.sampled_from(["whole", "slice", "bytearray"]))
+    def test_writing_through_the_base_changes_nothing(self, case, read_first,
+                                                      memory):
+        y, x, cats = case
+
+        def shared(values, dtype):
+            """An array for a column, and another over the same memory."""
+            array = np.array(values, dtype=dtype)
+            if memory == "whole":
+                return array[:], array
+            if memory == "slice":
+                base = np.append(array, array[:1])
+                return base[:-1], base
+            raw = bytearray(array.tobytes())
+            return np.frombuffer(raw, dtype=dtype), np.frombuffer(raw, dtype=dtype)
+
+        writers, columns = [], {}
+        for name, values in (("y", y), ("x", x)):
+            values_view, writer = shared(values, np.float64)
+            writers.append(writer)
+            columns[name] = NumericColumn(values_view)
+        for name, (k, codes, pinned) in cats.items():
+            # int8 codes need no narrowing, which would copy them anyway.
+            codes_view, writer = shared(codes, np.int8)
+            writers.append(writer)
+            columns[name] = CategoricalColumn(tuple(f"L{i}" for i in range(k)),
+                                              codes_view, pinned)
+        viewed = Dataset(columns)
+        if read_first:
+            for column in columns.values():
+                column.has_missing  # fills the caches, counts included
+        for writer in writers:
+            fill = np.nan if writer.dtype.kind == "f" else 0
+            if memory == "whole":
+                with pytest.raises(ValueError, match="read-only"):
+                    writer[:] = fill
+            else:
+                writer[:] = fill
+        fresh = _count_dataset(case)
+        for name, column in viewed.columns.items():
+            assert column.has_missing == fresh[name].has_missing, name
+            if isinstance(column, CategoricalColumn):
+                assert column.counts.tolist() == fresh[name].counts.tolist(), name
+        assert _fit_outcome(viewed, "weighted") == _fit_outcome(fresh, "weighted")
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["fast", "strict"])
+    def test_reader_deletion_and_patterns_hand_over_owned_arrays(self, quoted):
+        # A view handed to a column is copied or freezes the array
+        # behind it; these paths hand over none.
+        rng = np.random.default_rng(8)
+        n = 1500
+        edu = rng.choice(["low", "mid", "high", "NA"], n, p=[0.3, 0.3, 0.3, 0.1])
+        w = rng.choice(["1.5", "2", "NA"], n)
+        w[0] = "NA"  # a numeric column with a missing cell in its first rows
+        lines = [f"{b!r},{f},{e},{a},{v}" for b, f, e, a, v in zip(
+            rng.normal(25.0, 3.0, n).tolist(), rng.integers(0, 2, n).tolist(),
+            edu, rng.integers(18, 81, n).tolist(), w)]
+        if quoted:
+            lines[7] = '"' + lines[7].replace(",", '",', 1)  # for the csv module
+        data = read_csv_text("bmi,female,edu,age,w\n" + "\n".join(lines) + "\n")
+        kept = listwise_delete(data, ["bmi", "female", "edu", "age", "w"])
+        assert kept.n_rows < n
+        patterns, _, counts = _occupied_cells(
+            {name: kept[name] for name in ("female", "edu", "age", "w")}, kept.n_rows)
+        assert counts.size < kept.n_rows
+        for frame in (data.columns, kept.columns, patterns):
+            for name, column in frame.items():
+                array = column.values if isinstance(column, NumericColumn) else column.codes
+                assert array.base is None, name
 
 
 class TestCodeTypes:

@@ -682,7 +682,11 @@ class TestInfiniteValues:
         data, ast = case
         expected = first_infinite_value(ast, data)
         if expected is None:
-            assert build_design(ast, data).cell_index is not None
+            used = np.column_stack([data[name].codes if name == "g"
+                                    else data[name].values
+                                    for name in ast.variables()])
+            patterns = len(np.unique(used, axis=0))
+            assert len(build_design(ast, data).cell_table) == patterns < data.n_rows
             return
         with pytest.raises(NonFiniteValue) as exc:
             build_design(ast, data)

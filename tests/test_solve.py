@@ -102,6 +102,23 @@ class TestFit:
         with pytest.raises(TooFewRows):
             fit(design)
 
+    def test_design_without_index_fits_as_the_identity_index(self):
+        rng = np.random.default_rng(6)
+        matrix = np.column_stack([np.ones(25), rng.normal(size=(25, 3))])
+        labels = simple_labels(["(i)", "a", "b", "c"])
+        y = rng.normal(size=25)
+        bare = DesignMatrix(matrix, labels, y)
+        assert bare.cell_index.dtype == np.intp
+        assert np.array_equal(bare.cell_index, np.arange(25))
+        with pytest.raises(ValueError):
+            DesignMatrix(matrix, labels, y[:-1])
+        got = fit(bare)
+        expected = fit(DesignMatrix(matrix, labels, y, cell_index=np.arange(25)))
+        for name in ("coefficients", "stderr", "p_two_tailed", "cov", "fitted",
+                     "residuals"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name))
+        assert (got.rss, got.r_squared) == (expected.rss, expected.r_squared)
+
     def test_t_is_coefficient_over_stderr(self):
         result = fit(two_group_design())
         mask = result.stderr > 0
@@ -186,7 +203,7 @@ class TestCellPath:
                 for name in names if rng.random() < 0.5}
 
         design = build_design(parse_formula(formula), data, scheme, refs)
-        assert (design.cell_index is not None) == (len(np.unique(codes, axis=0)) < n)
+        assert len(design.cell_table) == len(np.unique(codes, axis=0))
         try:
             expected = fit(self.row_level(design))
         except (RankDeficient, TooFewRows) as exc:
@@ -256,7 +273,7 @@ class TestCellPath:
         assert [str(w.message) for w in caught] == [
             "level 'r' of 'a' has no observations"]
         assert caught[0].filename == __file__
-        assert design.cell_index is not None
+        assert len(design.cell_table) == 4  # (p, s), (q, t), (p, t), (q, s)
         with pytest.raises(RankDeficient) as exc:
             fit(design)
         assert set(exc.value.labels) <= {label.text for label in design.labels}
@@ -347,9 +364,7 @@ class TestPatternPath:
             data[name].codes if isinstance(data[name], CategoricalColumn)
             else data[name].values.view(np.int64) for name in ast.variables()])
         patterns = len(np.unique(used, axis=0))
-        assert (design.cell_index is not None) == (patterns < data.n_rows)
-        if design.cell_index is not None:
-            assert len(design.cell_table) == patterns
+        assert len(design.cell_table) == patterns
         try:
             expected = fit(TestCellPath.row_level(design))
         except TooFewRows:
@@ -385,6 +400,17 @@ class TestPatternPath:
         assert design.cell_table.shape == (4, 3)
         assert np.array_equal(design.values[:, 2], np.log(data["x"].values))
         assert fit(design).df_residual == 9
+
+    def test_all_distinct_rows_get_the_identity_index(self):
+        rng = np.random.default_rng(4)
+        data = Dataset({"y": numeric_column(rng.normal(size=30)),
+                        "x": numeric_column(rng.uniform(1.0, 9.0, 30)),
+                        "g": categorical_column(list("pqr") * 10)})
+        design = build_design(parse_formula("y ~ g + log(x)"), data)
+        assert design.cell_index.dtype == np.intp
+        assert np.array_equal(design.cell_index, np.arange(30))
+        assert np.array_equal(design.cell_counts, np.ones(30))
+        assert np.array_equal(design.values, design.cell_table)
 
     def test_wide_crossing_is_compacted_while_folded(self):
         # 2^18 crossings over 96 rows: the key is compacted by counting

@@ -115,6 +115,17 @@ class TestTwoTailedP:
                     assert two_tailed_p(t, df) == pytest.approx(
                         reference, rel=1e-8, abs=0.0), (df, t)
 
+    def test_large_df_keeps_the_log_of_x_exact(self):
+        # x = df/(df + t^2) rounds near 1 at large df; log1p(-y) keeps
+        # the digits that log(x) loses there. The grid is the one above.
+        for df in (10**5, 919848, 995134, 10**6):
+            for t in np.concatenate([np.logspace(-9, 3, 241),
+                                     np.linspace(1.4, 2.0, 121)]):
+                reference = 2.0 * stats.t.sf(t, df)
+                if reference >= 1e-300:
+                    assert two_tailed_p(t, df) == pytest.approx(
+                        reference, rel=2e-10, abs=0.0), (df, t)
+
     def test_never_increases_with_abs_t(self):
         grid = np.concatenate([np.linspace(0.0, 40.0, 16001),
                                np.logspace(np.log10(40.0), 3, 2001)[1:]])
