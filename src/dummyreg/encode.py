@@ -19,7 +19,8 @@ from typing import Iterable, Mapping, Union
 import numpy as np
 
 from .dataset import (
-    _NUMBER_RE, CategoricalColumn, Column, Dataset, NumericColumn, _seed,
+    _NUMBER_RE, CategoricalColumn, Column, Dataset, NumericColumn, _code_dtype,
+    _frozen, _seed,
 )
 from .errors import (
     EncodingConflict,
@@ -116,17 +117,14 @@ class DesignMatrix:
                  *, cell_index=None):
         """``values`` is the m x p table that ``cell_index`` gathers rows
         from; without an index, table row i is data row i."""
-        table = np.asarray(values, dtype=np.float64)
-        response = np.asarray(response, dtype=np.float64)
-        table.flags.writeable = False
-        response.flags.writeable = False
+        table = _frozen(np.asarray(values, dtype=np.float64))
+        response = _frozen(np.asarray(response, dtype=np.float64))
         labels = tuple(labels)
         if table.ndim != 2 or table.shape[1] != len(labels):
             raise ValueError("values shape does not match label count")
         m = table.shape[0]
-        cell_index = np.asarray(np.arange(m) if cell_index is None else cell_index,
-                                dtype=np.intp)
-        cell_index.flags.writeable = False
+        cell_index = _frozen(np.asarray(
+            np.arange(m) if cell_index is None else cell_index, dtype=np.intp))
         if cell_index.ndim != 1 or (
             cell_index.size and not 0 <= cell_index.min() <= cell_index.max() < m
         ):
@@ -393,9 +391,10 @@ def _encode(
 # many times the row count, and by sorting past that.
 _KEY_SPAN = 4
 
-# Rows renumbered at a time, so that the pattern key is rewritten in
-# place and each gather's temporaries stay in cache. On 1e6 rows this
-# took 5.6 ms against 9.0 ms for whole-array gathers (numpy 2.4).
+# Rows that an n-row pass takes at a time, so that the pattern key is
+# rewritten in place and each pass's temporaries stay in cache. On 1e6
+# rows renumbering took 5.6 ms against 9.0 ms for whole-array gathers
+# (numpy 2.4). solve.fit sums the total sum of squares by the same blocks.
 _ROW_BLOCK = 1 << 16
 
 
@@ -431,13 +430,15 @@ def _occupied_cells(
     variable, mixed-radix: a categorical's level code, or a numeric
     value's rank among the column's distinct float64 bit patterns, so
     each pattern's row is bit-identical to its data rows (-0.0 and 0.0
-    are two patterns). The key is compacted to the m occupied patterns
-    by counting whenever its range would outgrow a few times n, so an
-    all-categorical design is keyed in O(n); only numeric columns with
-    very many distinct values make the compaction sort. Returns the
-    columns to encode (each pattern's values, from one of its rows),
-    the n-row pattern index and the m patterns' row counts; a numeric
-    column of n distinct values gives the columns as given and arange(n).
+    are two patterns). The key is folded in the narrowest integer type
+    that holds its running range and its digits, and is compacted to
+    the m occupied patterns by counting whenever its range would outgrow
+    a few times n, so an all-categorical design is keyed in O(n); only
+    numeric columns with very many distinct values make the compaction
+    sort. Returns the columns to encode (each pattern's values, from one
+    of its rows), the n-row pattern index and the m patterns' row
+    counts; a numeric column of n distinct values gives the columns as
+    given and arange(n).
     """
     key, size = None, 1
     for column in columns.values():
@@ -449,26 +450,35 @@ def _occupied_cells(
             digit, k = digit.reshape(-1), distinct.size
             if k == n:
                 return columns, np.arange(n), np.ones(n, dtype=np.intp)
-        if key is None:
+        if size == 1:  # a key of one value folds to the digit itself
             key, size = digit, k
             continue
         if size * k > _KEY_SPAN * n:
             key, counts = _compact(key, size)
             size = counts.size
-        if key.flags.writeable:
+        dtype = np.result_type(key.dtype, digit.dtype, _code_dtype(size * k))
+        if key.flags.writeable and key.dtype == dtype:
             key *= k
-        else:  # the first column's own narrow codes: widen, never write
-            key = np.multiply(key, k, dtype=np.intp)
+        else:  # a column's own codes are never written
+            key = np.multiply(key, k, dtype=dtype)
         key += digit
         size *= k
     if key is None:
         key = np.zeros(n, dtype=np.intp)
-    key, counts = _compact(key, size)
+    key, counts = _compact(key.astype(np.intp, copy=False), size)
     m = counts.size
-    first = np.empty(m, dtype=np.intp)  # any row of a pattern stands for all
-    for start in range(0, n, _ROW_BLOCK):
+    # Any row of a pattern stands for all. The scan stops once every
+    # pattern has a row, tested after blocks 1, 2, 4, ... so that a
+    # table of m rows costs O(m log n), not O(m) per block.
+    first = np.full(m, -1, dtype=np.intp)
+    check = 1
+    for block, start in enumerate(range(0, n, _ROW_BLOCK), 1):
         stop = min(start + _ROW_BLOCK, n)
         first[key[start:stop]] = np.arange(start, stop)
+        if block == check:
+            if first.min() >= 0:
+                break
+            check *= 2
     patterns: dict[str, Column] = {}
     for name, column in columns.items():
         if isinstance(column, CategoricalColumn):

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .encode import ColumnLabel, DesignInfo, DesignMatrix, profile_row
+from .encode import _ROW_BLOCK, ColumnLabel, DesignInfo, DesignMatrix, profile_row
 from .errors import (
     DimensionMismatch,
     NonFiniteValue,
@@ -105,9 +105,11 @@ def fit(design: DesignMatrix) -> FitResult:
     from back-substitution in R. The rank test scans R's columns, scaled to
     unit norm, in formula order: a column closer than RANK_TOL to the
     span of the earlier columns kept is dependent, whatever its scale.
-    Residuals and RSS come from all n rows. A non-finite table value or
-    pattern mean raises NonFiniteValue, naming the first data row on
-    that table row, or the table row itself when no data row uses it.
+    Residuals and RSS come from all n rows, and so does the total sum
+    of squares, about the mean that the pattern sums give. A non-finite
+    table value or pattern mean raises NonFiniteValue, naming the first
+    data row on that table row, or the table row itself when no data
+    row uses it.
     """
     table, cell, y = design.cell_table, design.cell_index, design.response
     n, p = design.n_rows, design.n_cols
@@ -117,8 +119,8 @@ def fit(design: DesignMatrix) -> FitResult:
     counts = design.cell_counts
     weight = np.sqrt(counts)
     # A table row that no data row uses gets weight 0, not 0/0.
-    target = (np.bincount(cell, weights=y, minlength=len(table))
-              / np.maximum(counts, 1))
+    sums = np.bincount(cell, weights=y, minlength=len(table))
+    target = sums / np.maximum(counts, 1)
     if not (np.isfinite(target).all() and np.isfinite(table).all()):
         name, bad = design.response_name, ~np.isfinite(target)
         if not bad.any():
@@ -161,8 +163,17 @@ def fit(design: DesignMatrix) -> FitResult:
             t_values[i] = math.copysign(math.inf, coefficients[i])
     p_two = np.array([two_tailed_p(t, df) for t in t_values])
 
-    centred = y - y.mean()
-    tss = float(np.square(centred, out=centred).sum())
+    # A block of y at a time, so no n-row temporary; einsum, as for RSS.
+    # The pattern sums add y in row order, so their mean can be further
+    # off than y.mean(); the centred values' sum, `drift`, takes that
+    # error back out (the corrected two-pass formula). A constant
+    # response's centred values are one few-ulp number, so its TSS is 0.
+    mean, tss, drift = float(sums.sum()) / n, 0.0, 0.0
+    for start in range(0, n, _ROW_BLOCK):
+        centred = y[start:start + _ROW_BLOCK] - mean
+        drift += float(centred.sum())
+        tss += float(np.einsum("i,i->", centred, centred))
+    tss -= drift * drift / n
     r_squared = 0.0 if tss == 0 else min(max(1.0 - rss / tss, 0.0), 1.0)
 
     return FitResult(

@@ -5,13 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dummyreg import (
     CategoricalColumn,
     ContrastScheme,
     Dataset,
+    NumericColumn,
     VarRef,
     apply_transform,
     build_design,
@@ -38,7 +39,9 @@ from dummyreg.errors import (
     UnknownVariable,
     ZeroCountLevel,
 )
-from dummyreg.encode import _numeric_as_categorical, variable_levels
+from dummyreg.encode import (
+    _ROW_BLOCK, _numeric_as_categorical, _occupied_cells, variable_levels,
+)
 from dummyreg.formula import ConstExpr, format_number, format_ref
 
 
@@ -497,19 +500,29 @@ def factor_column(design, data, refs_by_text, variable, detail):
     return block[:, kept.index(detail[len(variable) + 1:-1])]
 
 
+def dense_values(design, data, ast):
+    """The n x p design, each column the left-to-right product of its
+    factors' columns, encoded row by row without the pattern table."""
+    refs_by_text = {format_ref(r): r for t in ast.terms for r in t.factors}
+    out = np.empty((data.n_rows, design.n_cols))
+    for j, label in enumerate(design.labels):
+        expected = np.ones(data.n_rows)
+        for variable, detail in zip(label.variables, label.details):
+            expected = expected * factor_column(
+                design, data, refs_by_text, variable, detail)
+        out[:, j] = expected
+    return out
+
+
 class TestEncoderProperties:
     @settings(max_examples=60, deadline=None)
     @given(encoder_cases())
     def test_columns_are_left_to_right_factor_products(self, case):
         data, ast, scheme, _ = case
         design = build_design(ast, data, scheme)
-        refs_by_text = {format_ref(r): r for t in ast.terms for r in t.factors}
+        expected = dense_values(design, data, ast)
         for j, label in enumerate(design.labels):
-            expected = np.ones(data.n_rows)
-            for variable, detail in zip(label.variables, label.details):
-                expected = expected * factor_column(
-                    design, data, refs_by_text, variable, detail)
-            assert np.array_equal(design.values[:, j], expected), label.text
+            assert np.array_equal(design.values[:, j], expected[:, j]), label.text
 
     @settings(max_examples=60, deadline=None)
     @given(encoder_cases())
@@ -691,3 +704,85 @@ class TestInfiniteValues:
         with pytest.raises(NonFiniteValue) as exc:
             build_design(ast, data)
         assert (exc.value.name, exc.value.row) == expected
+
+
+# --- the pattern key ----------------------------------------------------
+
+def pattern_digits(columns):
+    """Each column's digit per row: a level code, or a numeric value's
+    rank among its distinct float64 bit patterns."""
+    return np.stack([
+        column.codes if isinstance(column, CategoricalColumn)
+        else np.unique(column.values.view(np.int64), return_inverse=True)[1]
+        for column in columns.values()]).reshape(len(columns), -1)
+
+
+class TestPatternKey:
+    # Rows enough that a key range up to 4 * 9000 folds without being
+    # compacted: the running range crosses int8's and int16's ends.
+    N = 9000
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=2, max_value=300), min_size=2, max_size=4),
+           st.integers(min_value=-1, max_value=4),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @example([2, 64], -1, 0)  # the largest key is int8's 127
+    @example([3, 43], -1, 0)  # 128: the key needs int16
+    @example([128, 256], -1, 0)  # the largest key is int16's 32767
+    @example([129, 255], -1, 0)  # 32894: the key needs int32
+    @example([129, 255], 2, 0)  # then a numeric digit
+    @example([2, 2, 2, 128], 1, 0)
+    def test_folds_to_the_unique_rows_of_the_digits(self, sizes, numeric_at, seed):
+        rng = np.random.default_rng(seed)
+        columns = {}
+        for i, k in enumerate(sizes):
+            codes = rng.integers(0, k, self.N)
+            codes[0] = k - 1  # row 0 holds the largest key
+            columns[f"c{i}"] = CategoricalColumn(tuple(map(str, range(k))), codes)
+        if numeric_at >= 0:  # -0.0 and 0.0 are two digits
+            x = rng.choice([-0.0, 0.0, 0.5, 2.0], self.N)
+            names = list(columns)
+            names.insert(min(numeric_at, len(names)), "x")
+            columns["x"] = NumericColumn(x)
+            columns = {name: columns[name] for name in names}
+        before = {name: np.array(c.codes) for name, c in columns.items()
+                  if isinstance(c, CategoricalColumn)}
+        patterns, index, counts = _occupied_cells(columns, self.N)
+        digits = pattern_digits(columns)
+        unique, inverse, expected = np.unique(digits, axis=1, return_inverse=True,
+                                              return_counts=True)
+        assert index.dtype == np.intp
+        assert np.array_equal(index, inverse.reshape(-1))
+        assert np.array_equal(counts, expected)
+        assert np.array_equal(pattern_digits(patterns), unique)
+        for name, codes in before.items():
+            assert np.array_equal(columns[name].codes, codes)
+            assert not columns[name].codes.flags.writeable
+
+    @staticmethod
+    def late_crossing(n, late):
+        """a (3 levels) x b (2) x x (0.0, 1.0) in rows 0..11 and at random
+        after them, except that rows ``late`` hold x = -0.0 in cells of
+        their own."""
+        rng = np.random.default_rng(n)
+        fill = rng.integers(0, 12, n)
+        fill[:12] = np.arange(12)
+        a, b, x = fill % 3, fill // 3 % 2, (fill // 6).astype(float)
+        a[late], b[late], x[late] = np.arange(len(late)) % 3, 1, -0.0
+        return Dataset({"y": numeric_column(rng.normal(size=n)),
+                        "a": CategoricalColumn(("p", "q", "r"), a),
+                        "b": CategoricalColumn(("s", "t"), b),
+                        "x": numeric_column(x)})
+
+    # Two rows past the first block, one in a block that the scan does
+    # not stop to test (the third) and one as the very last row; or
+    # every pattern, -0.0 included, in the first block.
+    @pytest.mark.parametrize("late", [(2 * _ROW_BLOCK + 5, -1), (20, 21)])
+    def test_pattern_rows_are_found_in_any_block(self, late):
+        n = 3 * _ROW_BLOCK + 17
+        data = self.late_crossing(n, list(late))
+        ast = parse_formula("y ~ a*b + a*x")
+        design = build_design(ast, data)
+        assert len(design.cell_table) == 14  # -0.0 and 0.0 apart
+        assert np.array_equal(design.values.view(np.int64),
+                              dense_values(design, data, ast).view(np.int64))

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -25,7 +25,7 @@ from dummyreg import (
     predict_mean,
     simple_labels,
 )
-from dummyreg.encode import variable_levels
+from dummyreg.encode import _ROW_BLOCK, variable_levels
 from dummyreg.formula import SCHEMES
 from dummyreg.solve import RANK_TOL, two_tailed_p
 from dummyreg.errors import (
@@ -118,6 +118,20 @@ class TestFit:
                      "residuals"):
             assert np.array_equal(getattr(got, name), getattr(expected, name))
         assert (got.rss, got.r_squared) == (expected.rss, expected.r_squared)
+
+    def test_views_of_the_inputs_cannot_change_a_design(self):
+        # A design on whole-array views freezes the arrays behind them,
+        # so its cached counts cannot go stale under its index.
+        table = np.array([[1.0, 0.0], [1.0, 1.0]])
+        y = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        idx = np.array([0, 0, 0, 1, 1, 1])
+        design = DesignMatrix(table[:], simple_labels(["(i)", "x"]), y[:],
+                              cell_index=idx[:])
+        assert design.cell_counts.tolist() == [3, 3]
+        for array, value in ((idx, [0, 1, 1, 1, 1, 1]), (table, 0.0), (y, 0.0)):
+            with pytest.raises(ValueError):
+                array[:] = value
+        assert abs(fit(design).coefficients[1] - 3.0) < 1e-12
 
     def test_t_is_coefficient_over_stderr(self):
         result = fit(two_group_design())
@@ -442,6 +456,60 @@ class TestPatternPath:
         expected = fit(TestCellPath.row_level(design))
         assert np.allclose(fit(design).coefficients, expected.coefficients,
                            rtol=1e-10, atol=0)
+
+
+class TestTotalSumOfSquares:
+    """fit sums TSS about the mean of the pattern sums, a block of rows
+    at a time."""
+
+    @staticmethod
+    def data(n, k, y_of, rng):
+        g = np.arange(n) % k
+        x = rng.normal(size=n)
+        y = y_of(np.array([0.0, 1.0, -2.0, 3.0, 0.5])[g] + 0.3 * x
+                 + rng.normal(size=n))
+        return y, Dataset({"y": numeric_column(y), "x": numeric_column(x),
+                           "g": CategoricalColumn(tuple("abcde"[:k]), g)})
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([8, 300, 2 * _ROW_BLOCK + 3]),
+           st.integers(min_value=2, max_value=5),
+           st.sampled_from(["y ~ g", "y ~ g + x"]),
+           st.floats(min_value=-1e6, max_value=1e6),
+           st.floats(min_value=1e-3, max_value=1e3),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_r_squared_matches_the_two_pass_sum(self, n, k, formula, shift,
+                                                 scale, seed):
+        rng = np.random.default_rng(seed)
+        y, data = self.data(n, k, lambda v: shift + scale * v, rng)
+        result = fit(build_design(parse_formula(formula), data))
+        expected = 1.0 - result.rss / ((y - y.mean()) ** 2).sum()
+        assert abs(result.r_squared - expected) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=-1e6, max_value=1e6),
+           st.integers(min_value=6, max_value=300),
+           st.integers(min_value=2, max_value=4))
+    @example(0.1, 13, 4)  # read 0.31 when TSS was summed about y.mean()
+    def test_constant_response_reads_zero(self, value, n, k):
+        # Every centred value is the same few-ulp difference, whose
+        # squares and sum are exact, so TSS is exactly 0.
+        data = Dataset({"y": numeric_column(np.full(n, value)),
+                        "g": CategoricalColumn(tuple("abcd"[:k]), np.arange(n) % k)})
+        assert fit(build_design(parse_formula("y ~ g"), data)).r_squared == 0.0
+
+    @pytest.mark.parametrize("n", [50, 2 * _ROW_BLOCK + 3])
+    def test_offset_response_keeps_r_squared(self, n):
+        # y0 in multiples of 2^-16 below 2^10 in size, so y0 + 1e8 is
+        # exact and has y0's R^2; the reference fits y0 by lstsq.
+        rng = np.random.default_rng(n)
+        y0, data = self.data(n, 4, lambda v: np.round(v * 2**16) / 2**16, rng)
+        offset = Dataset({**data.columns, "y": numeric_column(y0 + 1e8)})
+        design = build_design(parse_formula("y ~ g + x"), offset)
+        coefficients = np.linalg.lstsq(design.values, y0, rcond=None)[0]
+        residuals = y0 - design.values @ coefficients
+        expected = 1.0 - (residuals @ residuals) / ((y0 - y0.mean()) ** 2).sum()
+        assert abs(fit(design).r_squared - expected) <= 1e-9
 
 
 class TestNonFinite:
