@@ -90,7 +90,6 @@ class DesignInfo:
     """Everything needed to re-encode new rows against an existing fit."""
 
     formula: FormulaAst
-    default_scheme: str
     categoricals: dict[str, CategoricalInfo] = field(default_factory=dict)
 
 
@@ -244,6 +243,20 @@ def _numeric_as_categorical(values: np.ndarray) -> CategoricalColumn:
     return CategoricalColumn(tuple(format_number(v) for v in distinct), codes)
 
 
+def _level(name: str, levels: tuple[str, ...], raw) -> str:
+    """The level that ``raw`` names: the text itself when it is a level,
+    else the format_number spelling of a number (text by the CSV rule,
+    or a non-string value). This is the one rule for every reference
+    level and profile value; unknown text is reported as written."""
+    if isinstance(raw, str) and (raw in levels or not _NUMBER_RE.match(raw)):
+        level = raw
+    else:
+        level = format_number(float(raw))
+    if level not in levels:
+        raise UnknownLevel(name, raw if isinstance(raw, str) else level)
+    return level
+
+
 def _resolve_categoricals(
     ast: FormulaAst,
     data: Dataset,
@@ -267,29 +280,29 @@ def _resolve_categoricals(
             continue
         if any(r.log or r.center is not None for r in occurrences):
             raise EncodingConflict(name, "cannot transform a categorical variable")
+        if not isinstance(column, CategoricalColumn):
+            column = columns[name] = _numeric_as_categorical(column.values)
 
-        ref_levels = {r.ref_level for r in occurrences if r.ref_level is not None}
+        def named(text: str) -> str:  # text that names no level stays as written
+            try:
+                return _level(name, column.levels, text)
+            except UnknownLevel:
+                return text
+
+        ref_texts = {r.ref_level for r in occurrences if r.ref_level is not None}
         schemes = {r.scheme for r in occurrences if r.scheme is not None}
-        if len(ref_levels) > 1:
+        if len(set(map(named, ref_texts))) > 1:
             raise EncodingConflict(
-                name, f"conflicting reference levels: {sorted(ref_levels)}"
+                name, f"conflicting reference levels: {sorted(ref_texts)}"
             )
         if len(schemes) > 1:
             raise EncodingConflict(
                 name, f"conflicting contrast schemes: {sorted(schemes)}"
             )
 
-        if not isinstance(column, CategoricalColumn):
-            column = columns[name] = _numeric_as_categorical(column.values)
-
-        omitted = refs.get(name)
-        if omitted is None and ref_levels:
-            omitted = next(iter(ref_levels))
-        if omitted is None:
-            omitted = column.levels[0]
-        if omitted not in column.levels:
-            raise UnknownLevel(name, omitted)
-
+        omitted = refs.get(name, next(iter(ref_texts), None))
+        omitted = (column.levels[0] if omitted is None
+                   else _level(name, column.levels, omitted))
         kind = next(iter(schemes)) if schemes else default_scheme
         out[name] = CategoricalInfo(
             name,
@@ -463,8 +476,6 @@ def _occupied_cells(
             key = np.multiply(key, k, dtype=dtype)
         key += digit
         size *= k
-    if key is None:
-        key = np.zeros(n, dtype=np.intp)
     key, counts = _compact(key.astype(np.intp, copy=False), size)
     m = counts.size
     # Any row of a pattern stands for all. The scan stops once every
@@ -542,25 +553,11 @@ def build_design(
 
     contrasts, terms, labels = _layout(ast, categoricals)
     table = _encode(terms, contrasts, columns, counts.size, len(labels), index=cell)
-    info = DesignInfo(ast, default_scheme, categoricals)
+    info = DesignInfo(ast, categoricals)
     design = DesignMatrix(table, labels, response_col.values, ast.response, info,
                           cell_index=cell)
     _seed(design, "cell_counts", counts)
     return design
-
-
-def variable_levels(context, name: str) -> tuple[str, ...]:
-    """Level list of a variable as the encoder would see it."""
-    info = context.info if isinstance(context, DesignMatrix) else context
-    if isinstance(info, DesignInfo):
-        if name not in info.categoricals:
-            raise NotCategorical(name)
-        return info.categoricals[name].levels
-    data: Dataset = context
-    column = data[name]
-    if isinstance(column, CategoricalColumn):
-        return column.levels
-    return _numeric_as_categorical(column.values).levels
 
 
 def relevel(
@@ -569,16 +566,23 @@ def relevel(
     new_reference: str,
     context: Union[Dataset, DesignInfo, DesignMatrix],
 ) -> dict[str, str]:
-    """Return an updated reference map omitting new_reference for variable.
+    """Return an updated reference map omitting, for variable, the level
+    that new_reference names.
 
-    The context (dataset or prior design) supplies the level list so an
-    unknown level is rejected up front.
+    The context (dataset or prior design) supplies the level list as the
+    encoder sees it, so an unknown level is rejected up front.
     """
-    if new_reference not in variable_levels(context, variable):
-        raise UnknownLevel(variable, new_reference)
-    out = dict(refs or {})
-    out[variable] = new_reference
-    return out
+    info = context.info if isinstance(context, DesignMatrix) else context
+    if isinstance(info, DesignInfo):
+        if variable not in info.categoricals:
+            raise NotCategorical(variable)
+        levels = info.categoricals[variable].levels
+    else:
+        column = context[variable]
+        if not isinstance(column, CategoricalColumn):
+            column = _numeric_as_categorical(column.values)
+        levels = column.levels
+    return {**(refs or {}), variable: _level(variable, levels, new_reference)}
 
 
 def design_references(design: Union[DesignMatrix, DesignInfo]) -> dict[str, str]:
@@ -589,16 +593,6 @@ def design_references(design: Union[DesignMatrix, DesignInfo]) -> dict[str, str]
     return {
         name: ci.scheme.omitted_level for name, ci in info.categoricals.items()
     }
-
-
-def _profile_level(info: CategoricalInfo, raw) -> str:
-    """Level a profile value names; a number names its canonical level."""
-    level = raw
-    if not isinstance(raw, str) or (raw not in info.levels and _NUMBER_RE.match(raw)):
-        level = format_number(float(raw))
-    if level not in info.levels:
-        raise UnknownLevel(info.name, level)
-    return level
 
 
 def _profile_number(name: str, raw) -> float:
@@ -633,7 +627,7 @@ def profile_row(
         if ci is None:
             columns[name] = NumericColumn([_profile_number(name, profile[name])])
         else:
-            code = ci.levels.index(_profile_level(ci, profile[name]))
+            code = ci.levels.index(_level(name, ci.levels, profile[name]))
             columns[name] = CategoricalColumn(ci.levels, [code])
     contrasts, terms, labels = _layout(ast, info.categoricals)
     try:

@@ -172,6 +172,24 @@ class TestFit:
         assert len(estimate.partition(".")[2]) == 30
 
 
+    def test_refs_spellings_of_a_number_name_one_level(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("y,k\n1.5,1\n2.5,2\n3.0,3\n4.5,1\n5.0,2\n6.5,3\n")
+        outs = set()
+        for level in ("2", "2.0", "02", "+2", "2e0"):
+            code, out, err = run_cli(
+                capsys, "fit", "--data", str(path), "--formula", "y ~ cat(k)",
+                "--output", "json", "--refs", f"k={level}")
+            assert (code, err) == (0, "")
+            outs.add(out)
+        assert len(outs) == 1
+        assert json.loads(outs.pop())["references"] == {"k": "2"}
+        code, out, err = run_cli(
+            capsys, "fit", "--data", str(path), "--formula", "y ~ cat(k)",
+            "--refs", "k=2.5")
+        assert (code, out, err) == (3, "", "error: '2.5' is not a level of 'k'\n")
+
+
 class TestRelevel:
     def test_same_fit_different_parametrization(self, capsys, education_csv):
         _, base_out, _ = run_cli(
@@ -289,6 +307,16 @@ class TestPredict:
             assert code == 0 and err == ""
             outs.append(out)
         assert outs == ["23.87\n"] * 3
+
+    def test_log_of_a_nonpositive_profile_value(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("y,g,age\n1.5,a,20\n2.5,b,30\n3.0,a,40\n4.5,b,50\n")
+        code, out, err = run_cli(
+            capsys, "predict", "--data", str(path),
+            "--formula", "y ~ g + log(age)", "--at", "g=a", "--at", "age=0",
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: log transform requires positive values (profile value)\n"
 
     @pytest.mark.parametrize("value", ["abc", "nan", "inf", "1_0"])
     def test_non_number_is_data_error(self, capsys, crossed_csv, value):

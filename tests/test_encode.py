@@ -1,6 +1,7 @@
 """Contrast coding, transforms, design assembly, releveling."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from dummyreg import (
     categorical_column,
     design_references,
     encode_categorical,
+    fit,
     numeric_column,
     parse_formula,
     profile_row,
@@ -40,7 +42,8 @@ from dummyreg.errors import (
     ZeroCountLevel,
 )
 from dummyreg.encode import (
-    _ROW_BLOCK, _numeric_as_categorical, _occupied_cells, variable_levels,
+    DesignMatrix, _ROW_BLOCK, _numeric_as_categorical, _occupied_cells,
+    simple_labels,
 )
 from dummyreg.formula import ConstExpr, format_number, format_ref
 
@@ -280,6 +283,13 @@ class TestBuildDesign:
                 'bmi ~ cat(edu, ref="low") + female:cat(edu, ref="middle")'),
                 data)
 
+    def test_conflicting_contrast_schemes(self):
+        data = read_csv_text("y,g,age\n1,a,20\n2,b,30\n3,a,40\n4,b,50\n")
+        with pytest.raises(EncodingConflict, match="conflicting contrast schemes"):
+            build_design(parse_formula(
+                'y ~ cat(g, scheme="effect") + cat(g, scheme="weighted"):age'),
+                data)
+
     def test_transform_on_categorical_rejected(self):
         data = read_csv_text("y,edu\n1,low\n2,high\n")
         with pytest.raises(EncodingConflict):
@@ -347,6 +357,18 @@ class TestBuildDesign:
             design.values[0, 0] = 9.0
 
 
+class TestDesignMatrix:
+    def test_label_count_must_match_the_table(self):
+        with pytest.raises(ValueError, match="label count"):
+            DesignMatrix(np.ones((3, 2)), simple_labels(["(i)"]), np.ones(3))
+
+    @pytest.mark.parametrize("index", [[0, 1, 2], [-1, 0, 1]])
+    def test_cell_index_must_be_in_range(self, index):
+        with pytest.raises(ValueError, match="out of range"):
+            DesignMatrix(np.ones((2, 1)), simple_labels(["(i)"]), np.ones(3),
+                         cell_index=index)
+
+
 class TestRelevel:
     def test_changes_omitted_level(self):
         data = interaction_fixture()
@@ -384,6 +406,107 @@ class TestRelevel:
         with pytest.raises(UnknownLevel):
             relevel({}, "children", "9", design)
 
+    def test_a_number_names_its_level(self):
+        data = read_csv_text("y,k\n1,1\n2,2\n3,3\n4,2\n")
+        design = build_design(parse_formula("y ~ cat(k)"), data)
+        for context in (data, design):
+            assert relevel({}, "k", "2.0", context) == {"k": "2"}
+            assert relevel({}, "k", 2.0, context) == {"k": "2"}
+        with pytest.raises(UnknownLevel, match="'2.5' is not a level of 'k'"):
+            relevel({}, "k", "2.5", data)
+
+
+# Values of a cat() numeric column; 1e500 reads as inf.
+LEVEL_VALUES = (-3.0, -0.0, 1.0, 2.5, 1e20, math.inf)
+
+
+def level_spellings(value: float) -> list[str]:
+    """Texts that name the level of a cat() value: repr, format_number,
+    a trailing zero, a + sign and an exponent; inf is the CSV's 1e500."""
+    canon = format_number(value)
+    if math.isinf(value):
+        return [canon, "1e500", "+1E999"]
+    return [repr(value), canon, canon + ("0" if "." in canon else ".0"),
+            canon if canon.startswith("-") else "+" + canon,
+            np.format_float_scientific(value)]
+
+
+@st.composite
+def spelled_level_cases(draw):
+    values = draw(st.lists(st.sampled_from(LEVEL_VALUES), min_size=2,
+                           max_size=len(LEVEL_VALUES), unique=True))
+    extra = draw(st.lists(st.sampled_from(values), max_size=6))
+    cells = [v for v in values for _ in "ab"] + extra
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = ["y,k,g"] + [
+        f"{rng.normal()!r},{'1e500' if math.isinf(v) else repr(v)},{'ab'[i % 2]}"
+        for i, v in enumerate(cells)]
+    data = read_csv_text("\n".join(lines) + "\n")
+    ref = draw(st.sampled_from(values))
+    return data, ref, draw(st.lists(st.sampled_from(level_spellings(ref)),
+                                    min_size=2, max_size=2))
+
+
+class TestLevelNames:
+    """One rule names a level: the text itself, else a number's
+    format_number spelling, for refs, cat(ref=), relevel and profiles."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(spelled_level_cases())
+    def test_every_spelling_picks_the_canonical_level(self, case):
+        data, ref, (text, other) = case
+        level = format_number(ref)
+        expected = fit(build_design(parse_formula("y ~ cat(k) + g"), data,
+                                    refs={"k": level}))
+        designs = [
+            build_design(parse_formula("y ~ cat(k) + g"), data, refs={"k": text}),
+            build_design(parse_formula(f'y ~ cat(k, ref="{text}") + g'), data),
+            build_design(parse_formula(
+                f'y ~ cat(k, ref="{text}") + cat(k, ref="{other}") + g'), data),
+        ]
+        for design in designs:
+            assert design_references(design)["k"] == level
+            got = fit(design)
+            for name in ("coefficients", "stderr", "fitted", "cov"):
+                assert np.array_equal(getattr(got, name), getattr(expected, name))
+        design = designs[0]
+        for raw in (text, ref):
+            assert relevel({}, "k", raw, data) == {"k": level}
+            assert relevel({}, "k", raw, design) == {"k": level}
+            assert np.array_equal(profile_row(design, {"k": raw, "g": "b"}),
+                                  profile_row(design, {"k": level, "g": "b"}))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.sampled_from(["2.50", "+1", "007", "1e0", "-0", "1.0"]),
+                    min_size=1, max_size=4, unique=True))
+    def test_a_text_level_is_named_only_as_written(self, numeric_texts):
+        levels = numeric_texts + ["x"]
+        lines = ["y,h"] + [f"{i},{lv}" for i, lv in enumerate(levels * 2)]
+        data = read_csv_text("\n".join(lines) + "\n")
+        ast = parse_formula("y ~ h")
+        design = build_design(ast, data)
+        for lv in numeric_texts:
+            assert relevel({}, "h", lv, data) == {"h": lv}
+            assert design_references(build_design(ast, data, refs={"h": lv})) \
+                == {"h": lv}
+            canon = format_number(float(lv))
+            with pytest.raises(UnknownLevel, match=f"'{re.escape(canon)}'"):
+                relevel({}, "h", canon, data)
+            with pytest.raises(UnknownLevel):
+                build_design(ast, data, refs={"h": canon})
+            with pytest.raises(UnknownLevel):
+                build_design(parse_formula(f'y ~ cat(h, ref="{canon}")'), data)
+            with pytest.raises(UnknownLevel):
+                profile_row(design, {"h": canon})
+
+    def test_texts_that_name_no_level_conflict_as_written(self):
+        data = read_csv_text("y,k\n1,1\n2,2\n3,3\n4,2\n")
+        with pytest.raises(EncodingConflict, match=r"\['2.0', '7'\]"):
+            build_design(parse_formula(
+                'y ~ cat(k, ref="2.0") + cat(k, ref="7")'), data)
+        with pytest.raises(UnknownLevel, match="'7.0' is not a level"):
+            build_design(parse_formula('y ~ cat(k, ref="7.0") + cat(k)'), data)
+
 
 class TestNumericAsCategorical:
     """cat() numbers: levels and codes from one np.unique."""
@@ -412,8 +535,9 @@ class TestNumericAsCategorical:
     def test_nan_on_an_undeleted_dataset(self):
         values = [2.0, np.nan, 1.0, np.nan, 2.0]
         data = Dataset({"y": numeric_column(range(5)), "x": numeric_column(values)})
-        assert variable_levels(data, "x") == ("1", "2", "nan")
         column = _numeric_as_categorical(data["x"].values)
+        assert column.levels == ("1", "2", "nan")
+        assert relevel({}, "x", "nan", data) == {"x": "nan"}
         assert np.array_equal(column.codes, self.by_search(data["x"].values)[1])
         assert column.codes.tolist() == [1, 2, 0, 2, 1]
 

@@ -25,7 +25,7 @@ from dummyreg import (
     predict_mean,
     simple_labels,
 )
-from dummyreg.encode import _ROW_BLOCK, variable_levels
+from dummyreg.encode import _ROW_BLOCK
 from dummyreg.formula import SCHEMES
 from dummyreg.solve import RANK_TOL, two_tailed_p
 from dummyreg.errors import (
@@ -202,18 +202,21 @@ class TestCellPath:
         n = len(codes)
         columns = {"y": NumericColumn(rng.normal(20.0, 3.0, n))}
         terms = []
+        spellings = {}  # a cat() number's reference is spelled by repr
         for j, (name, (k, from_numeric)) in enumerate(zip(names, factors)):
             if from_numeric:
                 level_values = rng.permutation([0.0, 1.0, 2.5, -3.0])[:k]
                 columns[name] = NumericColumn(level_values[codes[:, j]])
                 terms.append(f"cat({name})")
+                spellings[name] = [repr(v) for v in level_values.tolist()]
             else:
                 text = [f"L{c}" for c in rng.permutation(k)]
                 columns[name] = categorical_column([text[c] for c in codes[:, j]])
                 terms.append(name)
+                spellings[name] = text
         data = Dataset(columns)
         formula = "y ~ " + ("*" if crossed else " + ").join(terms)
-        refs = {name: str(rng.choice(variable_levels(data, name)))
+        refs = {name: str(rng.choice(spellings[name]))
                 for name in names if rng.random() < 0.5}
 
         design = build_design(parse_formula(formula), data, scheme, refs)
