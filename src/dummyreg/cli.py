@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 
 import numpy as np
 
 from .dataset import _complete_rows, _line_of, listwise_delete, read_csv
-from .encode import build_design, design_references
+from .encode import DEFAULT_SCHEME, build_design, design_references
 from .errors import (
     DummyregError,
     FormulaSyntaxError,
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_model_flags(p: argparse.ArgumentParser, with_output: bool = True):
         p.add_argument("--data", required=True, help="CSV file with a header row")
         p.add_argument("--formula", required=True, help='e.g. "bmi ~ female * edu"')
-        p.add_argument("--scheme", choices=SCHEMES, default="treatment")
+        p.add_argument("--scheme", choices=SCHEMES, default=DEFAULT_SCHEME)
         p.add_argument(
             "--refs",
             action="append",
@@ -79,18 +80,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--output", choices=("text", "json"), default="text")
             p.add_argument("--rounding", type=_places, default=2, metavar="N")
 
-    p_fit = sub.add_parser("fit", help="fit a model and print the table")
-    add_model_flags(p_fit)
-    p_fit.add_argument(
-        "--tail",
-        default="two",
-        metavar="two|less:LABEL|greater:LABEL",
-        help="add a one-tailed p-value for one coefficient",
-    )
-
-    p_rel = sub.add_parser("relevel", help="fit with changed reference levels")
-    add_model_flags(p_rel)
-    p_rel.add_argument("--tail", default="two")
+    for name, summary in (("fit", "fit a model and print the table"),
+                          ("relevel", "fit with changed reference levels")):
+        p_cmd = sub.add_parser(name, help=summary)
+        add_model_flags(p_cmd)
+        p_cmd.add_argument(
+            "--tail",
+            default="two",
+            metavar="two|less:LABEL|greater:LABEL",
+            help="add a one-tailed p-value for one coefficient",
+        )
 
     p_enc = sub.add_parser("encode", help="dump the design matrix as CSV")
     add_model_flags(p_enc, with_output=False)
@@ -135,27 +134,42 @@ def _prepare(args: argparse.Namespace, require_refs: bool = False):
         if name in named:
             raise UsageError(f"--refs names variable {name!r} more than once")
         named.add(name)
-    data = read_csv(args.data)
+    with _open_data(args) as fh:
+        data = read_csv(fh)
     data = listwise_delete(data, [ast.response, *ast.variables()])
     design = build_design(ast, data, args.scheme, dict(args.refs))
     return ast, data, design
+
+
+def _open_data(args: argparse.Namespace) -> io.BufferedIOBase:
+    """--data as a binary stream from its start. A file is streamed on
+    each call; a pipe, which reads once, is read into memory on the
+    first call, and its bytes are kept in args.data for the next."""
+    if isinstance(args.data, str):
+        fh = open(args.data, "rb")
+        if fh.seekable():
+            return fh
+        with fh:
+            args.data = fh.read()
+    return io.BytesIO(args.data)
 
 
 def _at_line(exc: Exception, args: argparse.Namespace) -> Exception:
     """exc, naming the CSV line of the data row it names, if any.
 
     The library counts rows from 0 among those that listwise deletion
-    kept. Only on this error path is the file read again: once to find
+    kept. Only on this error path is the data read again: once to find
     which rows were kept, and once by _line_of to count the lines up to
     the row.
     """
     if not isinstance(exc, (NonFiniteValue, NonPositiveLog)) or exc.row is None:
         return exc
     ast = parse_formula(args.formula)
-    kept = _complete_rows(read_csv(args.data), [ast.response, *ast.variables()])
-    row = int(np.flatnonzero(kept)[exc.row])
-    with open(args.data, encoding="utf-8-sig", newline="") as fh:
-        line = _line_of(fh, 0, row)
+    with _open_data(args) as fh:
+        kept = _complete_rows(read_csv(fh), [ast.response, *ast.variables()])
+        row = int(np.flatnonzero(kept)[exc.row])
+        text = io.TextIOWrapper(fh, encoding="utf-8-sig", newline="")
+        line = _line_of(text, 0, row)
     if isinstance(exc, NonFiniteValue):
         return NonFiniteValue(exc.name, exc.row, line=line)
     return NonPositiveLog(exc.row, line=line)

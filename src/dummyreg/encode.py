@@ -560,6 +560,14 @@ def build_design(
     return design
 
 
+def _encoder_context(design: Union[DesignMatrix, DesignInfo]) -> DesignInfo:
+    """A design's DesignInfo; a hand-built design has none: ValueError."""
+    info = design.info if isinstance(design, DesignMatrix) else design
+    if info is None:
+        raise ValueError("design carries no encoder context")
+    return info
+
+
 def relevel(
     refs: Mapping[str, str] | None,
     variable: str,
@@ -572,16 +580,16 @@ def relevel(
     The context (dataset or prior design) supplies the level list as the
     encoder sees it, so an unknown level is rejected up front.
     """
-    info = context.info if isinstance(context, DesignMatrix) else context
-    if isinstance(info, DesignInfo):
-        if variable not in info.categoricals:
-            raise NotCategorical(variable)
-        levels = info.categoricals[variable].levels
-    else:
+    if isinstance(context, Dataset):
         column = context[variable]
         if not isinstance(column, CategoricalColumn):
             column = _numeric_as_categorical(column.values)
         levels = column.levels
+    else:
+        info = _encoder_context(context)
+        if variable not in info.categoricals:
+            raise NotCategorical(variable)
+        levels = info.categoricals[variable].levels
     return {**(refs or {}), variable: _level(variable, levels, new_reference)}
 
 
@@ -613,9 +621,7 @@ def profile_row(
     Uses the schemes, references, and level counts captured at build
     time, so weighted-effect rows reuse the original group sizes.
     """
-    info = design.info if isinstance(design, DesignMatrix) else design
-    if info is None:
-        raise ValueError("design carries no encoder context")
+    info = _encoder_context(design)
     ast = info.formula
     missing = [v for v in ast.variables() if v not in profile]
     if missing:

@@ -17,6 +17,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
+from .dataset import _frozen
 from .encode import _ROW_BLOCK, ColumnLabel, DesignInfo, DesignMatrix, profile_row
 from .errors import (
     DimensionMismatch,
@@ -52,8 +53,7 @@ class FitResult:
         object.__setattr__(self, "labels", labels)
         for name in ("coefficients", "stderr", "t_values", "p_two_tailed",
                      "cov", "fitted", "residuals"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
+            arr = _frozen(np.asarray(getattr(self, name), dtype=np.float64))
             object.__setattr__(self, name, arr)
 
     @property
@@ -154,14 +154,7 @@ def fit(design: DesignMatrix) -> FitResult:
     r_inv = _back_substitute(r[:p, :p], np.eye(p))
     cov = sigma2 * (r_inv @ r_inv.T)
 
-    stderr = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    t_values = np.zeros(p)
-    for i in range(p):
-        if stderr[i] > 0:
-            t_values[i] = coefficients[i] / stderr[i]
-        elif coefficients[i] != 0:
-            t_values[i] = math.copysign(math.inf, coefficients[i])
-    p_two = np.array([two_tailed_p(t, df) for t in t_values])
+    stderr, t_values, p_two = _t_tests(coefficients, np.diag(cov), df)
 
     # A block of y at a time, so no n-row temporary; einsum, as for RSS.
     # The pattern sums add y in row order, so their mean can be further
@@ -303,6 +296,17 @@ def student_t_cdf(t: float, df: int) -> float:
     return 1.0 - tail if t > 0 else tail
 
 
+def _t_tests(estimates, variances, df: int) -> tuple[np.ndarray, ...]:
+    """SE, t and two-tailed p of each estimate, a negative variance read
+    as 0. At SE 0, t is +0.0 if the estimate == 0 (-0.0 too), else +-inf."""
+    estimates = np.asarray(estimates, dtype=np.float64)
+    stderr = np.sqrt(np.maximum(variances, 0.0))
+    at_zero = np.where(estimates == 0.0, 0.0, np.copysign(np.inf, estimates))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_values = np.where(stderr == 0.0, at_zero, estimates / stderr)
+    return stderr, t_values, np.array([two_tailed_p(t, df) for t in t_values])
+
+
 def one_tailed_p(fit_result: FitResult, label: str, direction: str) -> float:
     """Directional p-value: half the two-tailed p when the estimate's
     sign matches the stated direction, else the complement."""
@@ -332,14 +336,8 @@ def linear_combination(
         raise DimensionMismatch(w.shape[0] if w.ndim == 1 else w.shape,
                                 fit_result.n_cols)
     estimate = float(w @ fit_result.coefficients)
-    variance = float(w @ fit_result.cov @ w)
-    stderr = math.sqrt(max(variance, 0.0))
-    if stderr == 0.0:
-        t_value = 0.0 if estimate == 0.0 else math.copysign(math.inf, estimate)
-    else:
-        t_value = estimate / stderr
-    p_two = two_tailed_p(t_value, fit_result.df_residual)
-    return LinearCombination(estimate, stderr, t_value, p_two)
+    tests = _t_tests([estimate], [w @ fit_result.cov @ w], fit_result.df_residual)
+    return LinearCombination(estimate, *(float(v[0]) for v in tests))
 
 
 def predict_mean(
@@ -347,8 +345,5 @@ def predict_mean(
     profile: Mapping[str, object],
     design: Union[DesignMatrix, DesignInfo],
 ) -> float:
-    """Estimated mean response for one profile of predictor settings."""
-    row = profile_row(design, profile)
-    if row.shape != (fit_result.n_cols,):
-        raise DimensionMismatch(row.shape[0], fit_result.n_cols)
-    return float(row @ fit_result.coefficients)
+    """Estimated mean response for one profile: w'b, w its design row."""
+    return linear_combination(fit_result, profile_row(design, profile)).estimate

@@ -56,6 +56,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_piped(text, *argv):
+    """dummyreg in a child process, with text on a pipe as --data."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "dummyreg.cli", *argv, "--data", "/dev/stdin"],
+        input=text.encode(), env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True)
+
+
+needs_dev_stdin = pytest.mark.skipif(not os.path.exists("/dev/stdin"),
+                                     reason="no /dev/stdin")
+
+
 class TestFit:
     def test_text_golden(self, capsys, two_group_csv):
         code, out, err = run_cli(
@@ -155,6 +168,15 @@ class TestFit:
         assert proc.stdout.splitlines()[1].startswith("(intercept)")
         assert proc.stderr == "0 False\n"
 
+    @needs_dev_stdin
+    def test_piped_data_fits_as_the_file(self, capsys, crossed_csv):
+        _, expected, _ = run_cli(capsys, "fit", "--data", crossed_csv,
+                                 "--formula", "bmi ~ female * edu")
+        proc = run_piped(Path(crossed_csv).read_text(), "fit",
+                         "--formula", "bmi ~ female * edu")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.decode() == expected
+
     def test_csv_with_byte_order_mark(self, capsys, tmp_path):
         path = tmp_path / "excel.csv"
         path.write_bytes(b"\xef\xbb\xbfy,g\n1,a\n2,b\n3,a\n4.5,b\n")
@@ -205,6 +227,12 @@ class TestRelevel:
         assert abs(base["rss"] - rel["rss"]) < 1e-10
         assert abs(base["r_squared"] - rel["r_squared"]) < 1e-10
         assert rel["references"] == {"edu": "high"}
+
+    def test_help_shows_the_tail_forms(self, capsys):
+        code, out, _ = run_cli(capsys, "relevel", "--help")
+        assert code == 0
+        assert "--tail two|less:LABEL|greater:LABEL" in out
+        assert "add a one-tailed p-value for one coefficient" in out
 
     def test_requires_refs(self, capsys, education_csv):
         code, _, err = run_cli(
@@ -472,6 +500,15 @@ class TestExitCodes:
         code, out, err = run_cli(
             capsys, subcommand, "--data", str(path), "--formula", formula)
         assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    @needs_dev_stdin
+    @pytest.mark.parametrize("case", sorted(DATA_LINE_CASES))
+    def test_piped_data_error_names_the_csv_line(self, case):
+        # A pipe reads once; the line is counted in the bytes kept.
+        text, formula, message = self.DATA_LINE_CASES[case]
+        proc = run_piped(text, "fit", "--formula", formula)
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) \
+            == (3, b"", f"error: {message}\n")
 
     def test_undecodable_csv(self, capsys, tmp_path):
         path = tmp_path / "latin1.csv"

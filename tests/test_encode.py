@@ -415,6 +415,14 @@ class TestRelevel:
         with pytest.raises(UnknownLevel, match="'2.5' is not a level of 'k'"):
             relevel({}, "k", "2.5", data)
 
+    def test_hand_built_design_has_no_encoder_context(self):
+        # relevel and profile_row read a design's levels through one check.
+        design = DesignMatrix(np.ones((3, 1)), simple_labels(["(i)"]), np.ones(3))
+        with pytest.raises(ValueError, match="design carries no encoder context"):
+            relevel({}, "g", "a", design)
+        with pytest.raises(ValueError, match="design carries no encoder context"):
+            profile_row(design, {})
+
 
 # Values of a cat() numeric column; 1e500 reads as inf.
 LEVEL_VALUES = (-3.0, -0.0, 1.0, 2.5, 1e20, math.inf)

@@ -1,6 +1,7 @@
 """OLS estimation, rank detection, and inference helpers."""
 
 import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -23,6 +24,7 @@ from dummyreg import (
     one_tailed_p,
     parse_formula,
     predict_mean,
+    profile_row,
     simple_labels,
 )
 from dummyreg.encode import _ROW_BLOCK
@@ -777,3 +779,96 @@ class TestPredictMean:
         result = fit(design)
         got = predict_mean(result, {"female": 0, "edu": "low"}, design)
         assert got == result.coefficients[0]
+
+
+@st.composite
+def inference_cases(draw):
+    """1-3 categorical factors, crossed or not, with a 0/1 pass-through
+    and a centred log beside them; a zero response puts every SE at 0."""
+    n = draw(st.integers(12, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {"d": numeric_column(rng.integers(0, 2, n).astype(float)),
+               "x": numeric_column(rng.uniform(0.5, 40.0, n))}
+    factors = ["a", "b", "c"][:draw(st.integers(1, 3))]
+    for name in factors:
+        k = int(rng.integers(2, 4))
+        codes = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+        columns[name] = CategoricalColumn(tuple(f"L{i}" for i in range(k)), codes)
+    scale = draw(st.sampled_from([3.0, 0.0]))
+    columns["y"] = numeric_column(scale * rng.normal(size=n))
+    extras = draw(st.lists(st.sampled_from(["d", LOG_X]), unique=True))
+    joint = "*" if draw(st.booleans()) else " + "
+    formula = "y ~ " + " + ".join([joint.join(factors), *extras])
+    return Dataset(columns), parse_formula(formula), draw(st.sampled_from(SCHEMES))
+
+
+class TestOneTestRule:
+    """fit's table, linear_combination and predict_mean test an estimate
+    by one rule, so their numbers agree bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(inference_cases())
+    def test_coefficient_test_is_its_unit_combination(self, case):
+        data, ast, scheme = case
+        design = build_design(ast, data, scheme)
+        try:
+            result = fit(design)
+        except (RankDeficient, TooFewRows):
+            return
+        for i, unit in enumerate(np.eye(result.n_cols)):
+            combo = linear_combination(result, unit)
+            assert (result.stderr[i], result.t_values[i], result.p_two_tailed[i]) \
+                == (combo.stderr, combo.t_value, combo.p_two_tailed)
+        rng = np.random.default_rng(len(design.response))
+        profile = {name: str(rng.choice(column.levels))
+                   if isinstance(column, CategoricalColumn)
+                   else float(rng.choice(column.values))
+                   for name, column in data.columns.items() if name != "y"}
+        row = profile_row(design, profile)
+        assert predict_mean(result, profile, design) \
+            == linear_combination(result, row).estimate
+
+    def test_zero_response_gives_zero_t(self):
+        data = Dataset({"y": numeric_column(np.zeros(6)),
+                        "g": categorical_column(list("abcabc"))})
+        result = fit(build_design(parse_formula("y ~ g"), data))
+        assert result.coefficients.tolist() == [0.0, 0.0, 0.0]
+        assert np.signbit(result.coefficients).tolist() == [True, True, False]
+        assert result.stderr.tolist() == [0.0, 0.0, 0.0]
+        assert result.t_values.tolist() == [0.0, 0.0, 0.0]
+        assert not np.signbit(result.t_values).any()
+        assert result.p_two_tailed.tolist() == [1.0, 1.0, 1.0]
+
+    def test_zero_se_of_a_nonzero_estimate_gives_infinite_t(self):
+        result = _fake_fit(estimate=-1.5, p_two=0.5)
+        result = FitResult(**{**result.__dict__, "cov": np.zeros((2, 2))})
+        for unit, t in (([1.0, 0.0], math.inf), ([0.0, 1.0], -math.inf)):
+            combo = linear_combination(result, unit)
+            assert (combo.stderr, combo.t_value, combo.p_two_tailed) == (0.0, t, 0.0)
+
+    def test_nan_weight_gives_nan_throughout(self):
+        combo = linear_combination(fit(two_group_design()), [math.nan, 1.0])
+        assert all(math.isnan(v) for v in (combo.estimate, combo.stderr,
+                                           combo.t_value, combo.p_two_tailed))
+
+    def test_a_view_of_the_inputs_cannot_change_a_result(self):
+        # An array that views all of its base freezes the base; any
+        # other view is copied.
+        whole = np.array([10.0, 1.3])
+        wider = np.array([1.0, 1.0, 7.0])
+        result = FitResult(**{**_fake_fit(estimate=1.3, p_two=0.16).__dict__,
+                              "coefficients": whole[:], "stderr": wider[:2]})
+        with pytest.raises(ValueError):
+            whole[1] = 99.0
+        wider[1] = 99.0
+        assert result.coefficients.tolist() == [10.0, 1.3]
+        assert result.stderr.tolist() == [1.0, 1.0]
+        assert not (result.coefficients.flags.writeable
+                    or result.stderr.flags.writeable)
+
+    def test_fit_arrays_own_their_data(self):
+        # So freezing them copies nothing.
+        result = fit(interaction_design()[0])
+        for name in ("coefficients", "stderr", "t_values", "p_two_tailed",
+                     "cov", "fitted", "residuals"):
+            assert getattr(result, name).base is None
