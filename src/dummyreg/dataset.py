@@ -258,6 +258,13 @@ def _categorical(
     return CategoricalColumn(levels, remap[codes], pinned=pinned)
 
 
+def _first_row(bad: np.ndarray, index: np.ndarray | None = None) -> int:
+    """The first row that index (None: the identity) maps to a true entry
+    of bad; when no row does, the position of bad's first true entry."""
+    used = bad if index is None else bad[index]
+    return int(np.argmax(used if used.any() else bad))
+
+
 def _number(value: str) -> float | None:
     """The float a CSV cell stands for: NaN if missing, None if no number."""
     if value in MISSING_TOKENS:
@@ -272,12 +279,13 @@ def _read_column(
     if spec.kind == "categorical":
         return _categorical(distinct, codes, spec.levels, spec.levels is not None)
     numbers = [_number(value) for value in distinct]
-    bad = [i for i, x in enumerate(numbers) if x is None]
-    if spec.kind == "numeric" and bad:
-        line = line_of(int(np.argmax(codes == bad[0])))
-        raise MalformedCsv(line, f"column {name!r}: {distinct[bad[0]]!r} is not a number")
+    bad = np.array([x is None for x in numbers], dtype=bool)
+    if spec.kind == "numeric" and bad.any():
+        row = _first_row(bad, codes)
+        raise MalformedCsv(line_of(row), f"column {name!r}: "
+                           f"{distinct[codes[row]]!r} is not a number")
     if spec.kind == "numeric" or (
-        not bad and any(value not in MISSING_TOKENS for value in distinct)
+        not bad.any() and any(value not in MISSING_TOKENS for value in distinct)
     ):
         return NumericColumn(np.array(numbers, dtype=np.float64)[codes])
     return _categorical(distinct, codes, None)

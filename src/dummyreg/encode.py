@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import (
     _NUMBER_RE, CategoricalColumn, Column, Dataset, NumericColumn, _code_dtype,
-    _frozen, _seed,
+    _first_row, _frozen, _seed,
 )
 from .errors import (
     EncodingConflict,
@@ -209,23 +209,19 @@ def apply_transform(
 ) -> np.ndarray:
     """Apply a factor's transform chain (log, then centering) to values.
 
-    This is the one check of a numeric factor's values: ±inf raises
-    NonFiniteValue, then, under log, a non-positive value raises
-    NonPositiveLog. ``index`` maps data rows to entries of ``values``,
-    so that either error names the first data row holding a bad value.
+    This is the one check of numeric values, the response's too: ±inf
+    raises NonFiniteValue, then, under log, a non-positive value raises
+    NonPositiveLog. Either names its row by dataset._first_row, with
+    ``index`` mapping data rows to entries of ``values``.
     """
     out = np.asarray(values, dtype=np.float64)
-
-    def first_row(bad: np.ndarray) -> int:
-        return int(np.argmax(bad if index is None else bad[index]))
-
     infinite = np.isinf(out)
     if infinite.any():
-        raise NonFiniteValue(ref.name, first_row(infinite))
+        raise NonFiniteValue(ref.name, _first_row(infinite, index))
     if ref.log:
         bad = out <= 0
         if bad.any():
-            raise NonPositiveLog(first_row(bad))
+            raise NonPositiveLog(_first_row(bad, index))
         out = np.log(out)
     if ref.center is not None:
         out = out - ref.center.value
@@ -526,9 +522,7 @@ def build_design(
     incomplete = [name for name in used if data[name].has_missing]
     if incomplete:
         raise MissingValuesPresent(incomplete)
-    infinite = np.isinf(response_col.values)
-    if infinite.any():
-        raise NonFiniteValue(ast.response, int(np.argmax(infinite)))
+    apply_transform(response_col.values, VarRef(ast.response))  # ±inf raises
     for name in refs:
         if name not in data:
             raise UnknownVariable(name)

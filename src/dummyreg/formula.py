@@ -160,11 +160,9 @@ class _Parser:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
     def _next(self) -> Token:
-        tok = self._peek()
-        if tok is None:
-            raise FormulaSyntaxError(self._end_pos(), ("more input",))
+        """The token that _peek() has just returned, consumed."""
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
     def _expect(self, kind: str, expected: str) -> Token:
         tok = self._peek()

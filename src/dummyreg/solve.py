@@ -17,7 +17,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .dataset import _frozen
+from .dataset import _first_row, _frozen
 from .encode import _ROW_BLOCK, ColumnLabel, DesignInfo, DesignMatrix, profile_row
 from .errors import (
     DimensionMismatch,
@@ -126,8 +126,7 @@ def fit(design: DesignMatrix) -> FitResult:
         if not bad.any():
             j = int(np.argmax(~np.isfinite(table).all(axis=0)))
             name, bad = design.labels[j].text, ~np.isfinite(table[:, j])
-        used = bad[cell]  # O(n), on the error path only
-        raise NonFiniteValue(name, int(np.argmax(used if used.any() else bad)))
+        raise NonFiniteValue(name, _first_row(bad, cell))
     # R is carried from block to block, so no temporary outgrows a block.
     top = np.zeros((0, p + 1))
     for start in range(0, len(table), _QR_BLOCK_ROWS):

@@ -409,23 +409,38 @@ def _read_bytes(text, schema):
     return read_csv(io.BytesIO(text.encode("utf-8")), schema)
 
 
+def _compare_across_chunks(**options) -> collections.Counter:
+    """Read 400 drawn texts with both readers, at several chunk and block
+    sizes, and compare each result with the reference. Returns how many
+    reads the fast reader gave (True) and left to the strict one (False).
+    options are more hypothesis settings."""
+    fast = collections.Counter()
+
+    @settings(max_examples=400, deadline=None, **options)
+    @given(plain_csv_cases(), st.sampled_from([1, 2, 3, dataset._BLOCK_ROWS]),
+           st.sampled_from([1, 7, 64, dataset._CHUNK_CHARS]))
+    def check(case, block_rows, chunk_chars):
+        text, schema = case
+        want = _read_or_error(reference_read_csv, text, schema)
+        for reader in (read_csv_text, _read_bytes):
+            got, by_fast = _read_traced(reader, text, schema, chunk_chars, block_rows)
+            _assert_same(got, want)
+            fast[by_fast] += 1
+
+    check()
+    return fast
+
+
 class TestFastReader:
     def test_matches_reference_across_chunks(self):
-        fast = collections.Counter()
+        _compare_across_chunks()
 
-        @settings(max_examples=400, deadline=None)
-        @given(plain_csv_cases(), st.sampled_from([1, 2, 3, dataset._BLOCK_ROWS]),
-               st.sampled_from([1, 7, 64, dataset._CHUNK_CHARS]))
-        def check(case, block_rows, chunk_chars):
-            text, schema = case
-            want = _read_or_error(reference_read_csv, text, schema)
-            for reader in (read_csv_text, _read_bytes):
-                got, by_fast = _read_traced(reader, text, schema, chunk_chars, block_rows)
-                _assert_same(got, want)
-                fast[by_fast] += 1
-
-        check()
-        # Otherwise the test could pass by always falling back.
+    def test_fast_reader_decides_a_fifth_of_the_reads(self):
+        # Otherwise the comparisons could pass by always falling back.
+        # The draw is fixed, so the share is too: an unseeded draw once
+        # fell below a fifth in six suite runs. This one reads 0.4275
+        # (hypothesis 6.155).
+        fast = _compare_across_chunks(derandomize=True, database=None)
         assert fast[True] >= 0.2 * sum(fast.values())
 
     N = 40  # rows, so that a 16-character chunk leaves the first ones behind
@@ -993,6 +1008,10 @@ class TestColumnFactories:
         assert col.levels == ("b", "a")
         assert col.codes.tolist() == [0, 1, 0, -1]
         assert col.counts.tolist() == [2, 1]
+
+    def test_duplicate_levels_rejected(self):
+        with pytest.raises(ValueError, match="duplicate level names"):
+            CategoricalColumn(("a", "a"), [0, 1])
 
     def test_pinned_levels_reject_strangers(self):
         with pytest.raises(ValueError):

@@ -31,6 +31,7 @@ from dummyreg.errors import (
     EncodingConflict,
     IncompleteProfile,
     InterceptRequired,
+    InvalidProfileValue,
     MissingValuesPresent,
     NonFiniteValue,
     NonPositiveLog,
@@ -62,6 +63,12 @@ class TestEncodeCategorical:
     def test_effect_rows(self):
         x, _ = encode_categorical(edu_column(), ContrastScheme("effect", "low"))
         assert x.tolist() == [[-1, -1], [1, 0], [0, 1]]
+
+    def test_missing_value_rejected(self):
+        col = categorical_column(["low", "NA", "high"], ("low", "high"))
+        with pytest.raises(MissingValuesPresent) as exc:
+            encode_categorical(col, ContrastScheme("treatment", "low"), "edu")
+        assert exc.value.variables == ("edu",)
 
     def test_weighted_rows(self):
         col = edu_column(10, 20, 5)
@@ -151,6 +158,18 @@ class TestApplyTransform:
             apply_transform(np.array([5.0, 0.0, -np.inf]), ref,
                             index=np.array([0, 0, 2, 1]))
         assert (exc.value.name, exc.value.row) == ("age", 2)
+
+    @pytest.mark.parametrize("values, log, error", [
+        pytest.param([1.0, np.inf], False, NonFiniteValue, id="inf"),
+        pytest.param([1.0, -np.inf], True, NonFiniteValue, id="minus-inf-under-log"),
+        pytest.param([2.0, -1.0], True, NonPositiveLog, id="negative-under-log"),
+        pytest.param([2.0, 0.0], True, NonPositiveLog, id="zero-under-log"),
+    ])
+    def test_an_entry_no_row_uses_is_named_itself(self, values, log, error):
+        with pytest.raises(error) as exc:
+            apply_transform(np.array(values), VarRef("x", log=log),
+                            index=np.array([0, 0, 0]))
+        assert exc.value.row == 1
 
 
 def interaction_fixture(spread=0.3):
@@ -247,6 +266,29 @@ class TestBuildDesign:
         data = read_csv_text("y,x\n1,2\n")
         with pytest.raises(UnknownVariable):
             build_design(parse_formula("y ~ ghost"), data)
+
+    def test_refs_for_an_absent_variable_rejected(self):
+        data = read_csv_text("y,x\n1,2\n3,4\n")
+        with pytest.raises(UnknownVariable) as exc:
+            build_design(parse_formula("y ~ x"), data, refs={"zz": "p"})
+        assert exc.value.name == "zz"
+
+    def test_unknown_default_scheme_rejected(self):
+        data = read_csv_text("y,g\n1,a\n3,b\n")
+        with pytest.raises(ValueError, match="unknown contrast scheme 'dummy'"):
+            build_design(parse_formula("y ~ g"), data, default_scheme="dummy")
+
+    def test_duplicate_column_label_rejected(self):
+        # Level "p]×b[q" of a spells the label of the a[p] × b[q] column.
+        data = Dataset({
+            "y": numeric_column(range(6)),
+            "a": categorical_column(["r0", "p", "p]×b[q"] * 2),
+            "b": categorical_column(["s", "q"] * 3),
+        })
+        with pytest.raises(EncodingConflict) as exc:
+            build_design(parse_formula("y ~ a*b"), data)
+        assert exc.value.name == "a[p]×b[q]"
+        assert "duplicate design column label" in str(exc.value)
 
     def test_response_must_be_numeric(self):
         data = read_csv_text("y,x\nlow,1\nhigh,2\n")
@@ -585,6 +627,14 @@ class TestProfileRow:
         design = build_design(parse_formula("bmi ~ female * edu"), data)
         with pytest.raises(UnknownLevel):
             profile_row(design, {"female": 1, "edu": "phd"})
+
+    @pytest.mark.parametrize("value", ["abc", "1e500", math.inf])
+    def test_value_not_a_finite_number(self, value):
+        data = interaction_fixture()
+        design = build_design(parse_formula("bmi ~ female * edu"), data)
+        with pytest.raises(InvalidProfileValue) as exc:
+            profile_row(design, {"female": value, "edu": "high"})
+        assert (exc.value.variable, exc.value.value) == ("female", value)
 
 
 # --- properties of the encoder ---------------------------------------

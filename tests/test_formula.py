@@ -133,6 +133,8 @@ class TestParse:
         'y ~ cat(x, scheme="robust")',
         "y ~ 0 +",
         "y ~ log(2.5)",
+        'y ~ cat(x, by="a")',
+        "y ~ center(x, at=z)",
     ])
     def test_syntax_errors(self, source):
         with pytest.raises(FormulaSyntaxError):
@@ -142,6 +144,11 @@ class TestParse:
         with pytest.raises(FormulaSyntaxError) as exc:
             parse_formula("y ~ a b")
         assert exc.value.position == 6
+
+    def test_empty_formula_fails_at_offset_zero(self):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula("")
+        assert exc.value.position == 0
 
 
 names = st.sampled_from(["alpha", "beta", "gamma", "delta", "x1", "x2"])

@@ -2,12 +2,13 @@
 
 import itertools
 import math
+from fractions import Fraction
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -16,6 +17,8 @@ from dummyreg import (
     Dataset,
     DesignMatrix,
     NumericColumn,
+    VarRef,
+    apply_transform,
     build_design,
     categorical_column,
     fit,
@@ -38,7 +41,7 @@ from dummyreg.errors import (
     UnknownLabel,
 )
 from dummyreg.solve import FitResult
-from util import interaction_design, random_one_factor
+from util import exact_ols, interaction_design, random_one_factor
 
 
 def two_group_design():
@@ -565,6 +568,66 @@ class TestNonFinite:
         with pytest.raises(NonFiniteValue) as exc:
             fit(design)
         assert (exc.value.name, exc.value.row) == ("x", 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([1.0, 2.5, np.inf, -np.inf]), min_size=1,
+                    max_size=6).filter(lambda x: np.isinf(x).any()),
+           st.data())
+    def test_names_the_row_that_apply_transform_names(self, x, data):
+        # The index may skip table rows, bad ones included.
+        m = len(x)
+        index = data.draw(st.lists(st.integers(0, m - 1), min_size=3, max_size=10))
+        x, index = np.array(x), np.array(index)
+        with pytest.raises(NonFiniteValue) as by_transform:
+            apply_transform(x, VarRef("x"), index=index)
+        design = DesignMatrix(np.column_stack([np.ones(m), x]),
+                              simple_labels(["(intercept)", "x"]),
+                              np.arange(float(len(index))), cell_index=index)
+        with pytest.raises(NonFiniteValue) as by_fit:
+            fit(design)
+        rows = [i for i, j in enumerate(index) if np.isinf(x[j])]
+        expected = rows[0] if rows else int(np.flatnonzero(np.isinf(x))[0])
+        assert (by_fit.value.name, by_fit.value.row) == ("x", expected)
+        assert (by_transform.value.name, by_transform.value.row) == ("x", expected)
+
+
+@st.composite
+def exact_cases(draw):
+    """20-60 rows of one or two categoricals of 2-3 levels, added or
+    crossed, maybe with a centred log age, under one scheme. The first
+    rows hold each crossing of the levels once, so no cell is empty."""
+    n = draw(st.integers(20, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ks = draw(st.lists(st.integers(2, 3), min_size=1, max_size=2))
+    names = ["a", "b"][:len(ks)]
+    grid = np.array(list(itertools.product(*map(range, ks)))).T
+    columns = {"y": numeric_column(rng.normal(25.0, 3.0, n))}
+    for name, k, first in zip(names, ks, grid):
+        codes = np.concatenate([first, rng.integers(0, k, n - len(first))])
+        columns[name] = CategoricalColumn(tuple(f"{name}{i}" for i in range(k)), codes)
+    terms = ["*".join(names) if draw(st.booleans()) else " + ".join(names)]
+    if draw(st.booleans()):
+        columns["age"] = numeric_column(rng.uniform(18.0, 80.0, n))
+        terms.append("center(log(age), at=log(18))")
+    scheme = draw(st.sampled_from(SCHEMES))
+    return Dataset(columns), parse_formula("y ~ " + " + ".join(terms)), scheme
+
+
+class TestExactReference:
+    """fit against least squares solved exactly in rationals."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(exact_cases())
+    def test_matches_the_exact_solution(self, case):
+        data, ast, scheme = case
+        design = build_design(ast, data, default_scheme=scheme)
+        assume(np.linalg.cond(design.values) < 1e3)
+        beta, rss = exact_ols(design.values, design.response)
+        result = fit(design)
+        scale = max(abs(b) for b in beta)
+        error = max(abs(Fraction(c) - b) for c, b in zip(result.coefficients, beta))
+        assert error <= Fraction(1e-13) * scale
+        assert abs(Fraction(result.rss) - rss) <= Fraction(1e-12) * rss
 
 
 class TestRankTest:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +47,36 @@ def interaction_design(spread: float = 0.3):
                           refs={"edu": "low"})
     means = cell_means(data, ["female", "edu"], "bmi")
     return design, data, means
+
+
+def exact_ols(x: np.ndarray, y: np.ndarray) -> tuple[list[Fraction], Fraction]:
+    """The least-squares coefficients and RSS of y on the columns of x,
+    exactly: every float64 is a Fraction, and the normal equations are
+    solved by Gauss-Jordan elimination in Fractions. Made for designs up
+    to about 60 x 10; x must have full column rank."""
+    rows = [[Fraction(v) for v in row] for row in np.asarray(x, dtype=np.float64).tolist()]
+    ys = [Fraction(v) for v in np.asarray(y, dtype=np.float64).tolist()]
+    cols = list(zip(*rows))
+    p = len(cols)
+
+    def dot(u, v):
+        return sum(map(operator.mul, u, v), Fraction(0))
+
+    # The augmented system [X'X | X'y], one list per equation.
+    system = [[dot(cols[i], cols[j]) for j in range(p)] + [dot(cols[i], ys)]
+              for i in range(p)]
+    for k in range(p):
+        pivot = next((i for i in range(k, p) if system[i][k] != 0), None)
+        if pivot is None:
+            raise ValueError("x does not have full column rank")
+        system[k], system[pivot] = system[pivot], system[k]
+        for i in range(p):
+            if i != k and system[i][k] != 0:
+                factor = system[i][k] / system[k][k]
+                system[i] = [a - factor * b for a, b in zip(system[i], system[k])]
+    beta = [system[k][p] / system[k][k] for k in range(p)]
+    rss = sum(((yi - dot(row, beta)) ** 2 for row, yi in zip(rows, ys)), Fraction(0))
+    return beta, rss
 
 
 def dataset_csv(data: Dataset) -> str:
