@@ -110,24 +110,21 @@ class DesignMatrix:
     response_name: str
     info: DesignInfo | None
     cell_table: np.ndarray  # m x p, float64
-    cell_index: np.ndarray  # n table rows, intp
+    cell_index: np.ndarray  # n table rows, an integer type
 
     def __init__(self, values, labels, response, response_name="y", info=None,
                  *, cell_index=None):
         """``values`` is the m x p table that ``cell_index`` gathers rows
-        from; without an index, table row i is data row i."""
+        from; without an index, table row i is data row i. The index
+        keeps its integer type (build_design's is the narrowest that
+        holds m); see _table_index."""
         table = _frozen(np.asarray(values, dtype=np.float64))
         response = _frozen(np.asarray(response, dtype=np.float64))
         labels = tuple(labels)
         if table.ndim != 2 or table.shape[1] != len(labels):
             raise ValueError("values shape does not match label count")
         m = table.shape[0]
-        cell_index = _frozen(np.asarray(
-            np.arange(m) if cell_index is None else cell_index, dtype=np.intp))
-        if cell_index.ndim != 1 or (
-            cell_index.size and not 0 <= cell_index.min() <= cell_index.max() < m
-        ):
-            raise ValueError("cell index out of range for the table")
+        cell_index = _table_index(np.arange(m) if cell_index is None else cell_index, m)
         if response.shape != cell_index.shape:
             raise ValueError("response length does not match row count")
         for name, value in (("labels", labels), ("response", response),
@@ -143,7 +140,7 @@ class DesignMatrix:
     @cached_property
     def cell_counts(self) -> np.ndarray:
         """Data rows per table row, read-only."""
-        counts = np.bincount(self.cell_index, minlength=len(self.cell_table))
+        counts = _bincount_blocks(self.cell_index, len(self.cell_table))
         return _seed(self, "cell_counts", counts)
 
     @property
@@ -403,8 +400,50 @@ _KEY_SPAN = 4
 # Rows that an n-row pass takes at a time, so that the pattern key is
 # rewritten in place and each pass's temporaries stay in cache. On 1e6
 # rows renumbering took 5.6 ms against 9.0 ms for whole-array gathers
-# (numpy 2.4). solve.fit sums the total sum of squares by the same blocks.
+# (numpy 2.4). solve.fit reads the response by the same blocks.
 _ROW_BLOCK = 1 << 16
+
+
+def _row_blocks(n: int, step: int = _ROW_BLOCK):
+    """Slices of step rows that cover range(n), in order."""
+    return (slice(start, start + step) for start in range(0, n, step))
+
+
+def _bincount_blocks(index: np.ndarray, m: int,
+                     weights: np.ndarray | None = None) -> np.ndarray:
+    """np.bincount(index, weights, minlength=m), taken over slices of
+    max(_ROW_BLOCK, m) rows and added in block order.
+
+    np.bincount copies an index that is read-only or not intp, and
+    read-only weights, whole; a block's copy stays in cache. On 1e6 rows
+    of an int8 index and read-only weights, blocks took 3.6 ms against
+    6.4 ms (numpy 2.4). A block is never shorter than m, so adding up
+    the blocks' m-row sums costs O(n), and m >= n is one whole
+    np.bincount. Summed by blocks, the error of a weighted sum grows
+    with the block count and length, not with n.
+    """
+    total = np.zeros(m, dtype=np.intp if weights is None else np.float64)
+    for rows in _row_blocks(len(index), max(_ROW_BLOCK, m)):
+        total += np.bincount(index[rows], None if weights is None else weights[rows],
+                             minlength=m)
+    return total
+
+
+def _table_index(cell_index, m: int) -> np.ndarray:
+    """cell_index, frozen in its own integer type, once every entry is
+    known to pick one of m table rows; one that np.bincount cannot read
+    as intp (uint64) becomes intp. Raises ValueError for an index that
+    is not one-dimensional, not of an integer type or out of range."""
+    cell_index = np.asarray(cell_index)
+    if cell_index.dtype.kind not in "iu":
+        raise ValueError(f"cell index of type {cell_index.dtype}, not integer")
+    # Tested in the index's own type, so that no entry can wrap.
+    if cell_index.ndim != 1 or (cell_index.size and not (
+            0 <= int(cell_index.min()) and int(cell_index.max()) < m)):
+        raise ValueError("cell index out of range for the table")
+    if not np.can_cast(cell_index.dtype, np.intp):
+        cell_index = cell_index.astype(np.intp)
+    return _frozen(cell_index)
 
 
 def _compact(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -415,17 +454,16 @@ def _compact(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     if size > _KEY_SPAN * key.size:
         _, key, counts = np.unique(key, return_inverse=True, return_counts=True)
         return key.reshape(-1), counts
-    counts = np.bincount(key, minlength=size)
+    counts = _bincount_blocks(key, size)
     if counts.all():
         return key, counts
     occupied = np.flatnonzero(counts)
-    lookup = np.empty(size, dtype=np.intp)
+    lookup = np.empty(size, dtype=_code_dtype(occupied.size))
     lookup[occupied] = np.arange(occupied.size)
     if not key.flags.writeable:
         return lookup[key], counts[occupied]
-    for start in range(0, key.size, _ROW_BLOCK):
-        block = key[start:start + _ROW_BLOCK]
-        block[:] = lookup[block]
+    for rows in _row_blocks(key.size):
+        key[rows] = lookup[key[rows]]
     return key, counts[occupied]
 
 
@@ -445,7 +483,8 @@ def _occupied_cells(
     a few times n, so an all-categorical design is keyed in O(n); only
     numeric columns with very many distinct values make the compaction
     sort. Returns the columns to encode (each pattern's values, from one
-    of its rows), the n-row pattern index and the m patterns' row
+    of its rows), the n-row pattern index, in the narrowest integer type
+    that holds m (as categorical codes are), and the m patterns' row
     counts; a numeric column of n distinct values gives the columns as
     given and arange(n).
     """
@@ -458,7 +497,8 @@ def _occupied_cells(
                                         return_inverse=True)
             digit, k = digit.reshape(-1), distinct.size
             if k == n:
-                return columns, np.arange(n), np.ones(n, dtype=np.intp)
+                return (columns, np.arange(n, dtype=_code_dtype(n)),
+                        np.ones(n, dtype=np.intp))
         if size == 1:  # a key of one value folds to the digit itself
             key, size = digit, k
             continue
@@ -472,8 +512,9 @@ def _occupied_cells(
             key = np.multiply(key, k, dtype=dtype)
         key += digit
         size *= k
-    key, counts = _compact(key.astype(np.intp, copy=False), size)
+    key, counts = _compact(key, size)
     m = counts.size
+    key = key.astype(_code_dtype(m), copy=False)
     # Any row of a pattern stands for all. The scan stops once every
     # pattern has a row, tested after blocks 1, 2, 4, ... so that a
     # table of m rows costs O(m log n), not O(m) per block.

@@ -124,7 +124,6 @@ def test_07_t_cdf_accuracy():
 
 
 def test_08_one_tailed_halving():
-    zeros = np.zeros(2)
     result = FitResult(
         coefficients=np.array([10.0, -1.3]),
         stderr=np.array([1.0, 1.0]),
@@ -136,8 +135,9 @@ def test_08_one_tailed_halving():
         labels=["a", "b"],
         r_squared=0.5,
         rss=10.0,
-        fitted=zeros,
-        residuals=zeros,
+        cell_fitted=np.zeros(1),
+        cell_index=np.zeros(2, dtype=np.int8),
+        response=np.zeros(2),
     )
     err = abs(one_tailed_p(result, "b", "less") - 0.08)
     _line(8, err < 1e-12, f"one-tailed p from two-tailed .16: err {err:.2e}")

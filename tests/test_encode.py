@@ -42,9 +42,10 @@ from dummyreg.errors import (
     UnknownVariable,
     ZeroCountLevel,
 )
+from dummyreg.dataset import _code_dtype
 from dummyreg.encode import (
-    DesignMatrix, _ROW_BLOCK, _numeric_as_categorical, _occupied_cells,
-    simple_labels,
+    DesignMatrix, _ROW_BLOCK, _bincount_blocks, _numeric_as_categorical,
+    _occupied_cells, simple_labels,
 )
 from dummyreg.formula import ConstExpr, format_number, format_ref
 
@@ -409,6 +410,64 @@ class TestDesignMatrix:
         with pytest.raises(ValueError, match="out of range"):
             DesignMatrix(np.ones((2, 1)), simple_labels(["(i)"]), np.ones(3),
                          cell_index=index)
+
+    @pytest.mark.parametrize("index", [
+        np.array([0.2, 0.9, 1.5, 1.99]),  # was truncated to [0, 0, 1, 1]
+        np.array([True, False, True, False]),  # was read as 0/1
+        np.array(["0", "1", "0", "1"]),
+    ], ids=["float", "bool", "text"])
+    def test_cell_index_must_be_integer(self, index):
+        with pytest.raises(ValueError, match="not integer"):
+            DesignMatrix(np.ones((2, 1)), simple_labels(["(i)"]), np.ones(4),
+                         cell_index=index)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8, np.int32, np.intp])
+    def test_cell_index_keeps_its_integer_type(self, dtype):
+        index = np.array([0, 1, 1, 0], dtype=dtype)
+        design = DesignMatrix(np.eye(2), simple_labels(["a", "b"]), np.ones(4),
+                              cell_index=index)
+        assert design.cell_index.dtype == dtype
+        assert design.cell_index is index and not index.flags.writeable
+        assert design.cell_counts.tolist() == [2, 2]
+
+    def test_an_index_that_bincount_cannot_read_becomes_intp(self):
+        index = np.array([0, 1, 1, 0], dtype=np.uint64)
+        design = DesignMatrix(np.eye(2), simple_labels(["a", "b"]), np.ones(4),
+                              cell_index=index)
+        assert design.cell_index.dtype == np.intp
+        assert design.cell_counts.tolist() == [2, 2]
+
+    def test_range_is_tested_before_the_cast(self):
+        # As intp, 2^64 - 1 would wrap to -1.
+        with pytest.raises(ValueError, match="out of range"):
+            DesignMatrix(np.eye(2), simple_labels(["a", "b"]), np.ones(2),
+                         cell_index=np.array([0, 2**64 - 1], dtype=np.uint64))
+
+    @pytest.mark.parametrize("m", [60, _ROW_BLOCK + 7])
+    def test_block_sums_match_one_bincount(self, m):
+        # m past _ROW_BLOCK makes the blocks m rows long. The weights
+        # are small integers, so every order of adding them is exact.
+        rng = np.random.default_rng(m)
+        index = rng.integers(0, m, 2 * m + _ROW_BLOCK + 3)
+        weights = rng.integers(-8, 8, index.size).astype(np.float64)
+        index.flags.writeable = weights.flags.writeable = False
+        counts = _bincount_blocks(index, m)
+        assert counts.dtype == np.intp
+        assert np.array_equal(counts, np.bincount(index, minlength=m))
+        assert np.array_equal(_bincount_blocks(index, m, weights),
+                              np.bincount(index, weights, minlength=m))
+
+    def test_a_crossing_of_60_patterns_gets_an_int8_index(self):
+        rng = np.random.default_rng(0)
+        n = 3 * _ROW_BLOCK
+        data = Dataset({"y": numeric_column(rng.normal(size=n)),
+                        **{name: CategoricalColumn(tuple(map(str, range(k))),
+                                                   rng.integers(0, k, n))
+                           for name, k in (("a", 5), ("b", 4), ("c", 3))}})
+        design = build_design(parse_formula("y ~ a*b*c"), data)
+        assert design.cell_index.dtype == np.int8
+        expected = (data["a"].codes * 4 + data["b"].codes) * 3 + data["c"].codes
+        assert np.array_equal(design.cell_index, expected)
 
 
 class TestRelevel:
@@ -933,7 +992,7 @@ class TestPatternKey:
         digits = pattern_digits(columns)
         unique, inverse, expected = np.unique(digits, axis=1, return_inverse=True,
                                               return_counts=True)
-        assert index.dtype == np.intp
+        assert index.dtype == _code_dtype(len(counts))
         assert np.array_equal(index, inverse.reshape(-1))
         assert np.array_equal(counts, expected)
         assert np.array_equal(pattern_digits(patterns), unique)

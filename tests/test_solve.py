@@ -30,6 +30,7 @@ from dummyreg import (
     profile_row,
     simple_labels,
 )
+from dummyreg.dataset import _code_dtype
 from dummyreg.encode import _ROW_BLOCK
 from dummyreg.formula import SCHEMES
 from dummyreg.solve import RANK_TOL, two_tailed_p
@@ -429,7 +430,7 @@ class TestPatternPath:
                         "x": numeric_column(rng.uniform(1.0, 9.0, 30)),
                         "g": categorical_column(list("pqr") * 10)})
         design = build_design(parse_formula("y ~ g + log(x)"), data)
-        assert design.cell_index.dtype == np.intp
+        assert design.cell_index.dtype == _code_dtype(30)
         assert np.array_equal(design.cell_index, np.arange(30))
         assert np.array_equal(design.cell_counts, np.ones(30))
         assert np.array_equal(design.values, design.cell_table)
@@ -506,6 +507,26 @@ class TestTotalSumOfSquares:
                         "g": CategoricalColumn(tuple("abcd"[:k]), np.arange(n) % k)})
         assert fit(build_design(parse_formula("y ~ g"), data)).r_squared == 0.0
 
+    @pytest.mark.parametrize("value, n, k", [
+        (4.555456405177107e-148, 56, 2),  # read 1.0: the residuals' squares underflowed
+        (2.225073858507203e-309, 6, 2),  # a subnormal y
+        (0.0, 7, 3),
+    ])
+    def test_tiny_constant_response_reads_zero(self, value, n, k):
+        data = Dataset({"y": numeric_column(np.full(n, value)),
+                        "g": CategoricalColumn(tuple("abcd"[:k]), np.arange(n) % k)})
+        assert fit(build_design(parse_formula("y ~ g"), data)).r_squared == 0.0
+
+    @pytest.mark.parametrize("shift", [-540, -1000, 0, 500])
+    def test_r_squared_does_not_depend_on_the_scale_of_y(self, shift):
+        # At 2^-540 the squares of y's spread fall below 2^-1022.
+        rng = np.random.default_rng(8)
+        y, data = self.data(300, 4, lambda v: v, rng)
+        ast = parse_formula("y ~ g + x")
+        base = fit(build_design(ast, data)).r_squared
+        scaled = Dataset({**data.columns, "y": numeric_column(np.ldexp(y, shift))})
+        assert abs(fit(build_design(ast, scaled)).r_squared - base) <= 1e-12
+
     @pytest.mark.parametrize("n", [50, 2 * _ROW_BLOCK + 3])
     def test_offset_response_keeps_r_squared(self, n):
         # y0 in multiples of 2^-16 below 2^10 in size, so y0 + 1e8 is
@@ -518,6 +539,91 @@ class TestTotalSumOfSquares:
         residuals = y0 - design.values @ coefficients
         expected = 1.0 - (residuals @ residuals) / ((y0 - y0.mean()) ** 2).sum()
         assert abs(fit(design).r_squared - expected) <= 1e-9
+
+
+class TestRowPasses:
+    """fit reads the n rows in blocks and writes no n-row array; the
+    fitted values and residuals are made when first read."""
+
+    @staticmethod
+    def crossing(n):
+        rng = np.random.default_rng(n)
+        g, h = rng.integers(0, 8, n), rng.integers(0, 3, n)
+        return Dataset({"y": numeric_column(g - 0.5 * h * g + rng.normal(size=n)),
+                        "g": CategoricalColumn(tuple("abcdefgh"), g),
+                        "h": CategoricalColumn(tuple("xyz"), h)})
+
+    def test_peak_allocation_does_not_grow_with_n(self):
+        peaks = []
+        for n in (200_000, 1_000_000):
+            design = build_design(parse_formula("y ~ g*h"), self.crossing(n))
+            tracemalloc.start()
+            try:
+                fit(design)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        small, large = peaks
+        assert large < 3e6, peaks
+        assert abs(large - small) <= 0.1 * small, peaks
+
+    def test_fitted_values_are_made_on_first_read(self):
+        design = build_design(parse_formula("y ~ g*h"), self.crossing(5000))
+        result = fit(design)
+        assert "fitted" not in result.__dict__
+        assert "residuals" not in result.__dict__
+        assert result.cell_index is design.cell_index
+        assert result.response is design.response
+        fitted = result.fitted
+        assert result.__dict__["fitted"] is fitted
+        expected = (design.cell_table @ result.coefficients)[design.cell_index]
+        assert np.array_equal(fitted, expected)
+        assert np.array_equal(result.residuals, design.response - expected)
+        for values in (result.fitted, result.residuals):
+            assert values.base is None and not values.flags.writeable
+
+    @pytest.mark.parametrize("index, match", [
+        (np.array([0.2, 0.9, 1.5, 1.99]), "not integer"),  # was cast to [0, 0, 1, 1]
+        (np.array([True, False, True, False]), "not integer"),
+        (np.array([0, 1, 2, 0]), "out of range"),  # failed on first read
+    ], ids=["float", "bool", "past-the-table"])
+    def test_result_checks_its_index(self, index, match):
+        result = _fake_fit(0.5, 0.2)
+        fields = {name: getattr(result, name) for name in result.__dataclass_fields__}
+        fields.update(cell_fitted=[1.0, 2.0], cell_index=index, response=np.ones(4))
+        with pytest.raises(ValueError, match=match):
+            FitResult(**fields)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=2, max_value=100),
+           st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=3 * _ROW_BLOCK),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_index_type_does_not_change_the_fit(self, m, q, extra, seed):
+        # One design whose index is given in five integer types; past
+        # one block, the pattern sums and the RSS/TSS pass take blocks.
+        rng = np.random.default_rng(seed)
+        p = min(q + 1, m)
+        table = np.column_stack([np.ones(m), rng.normal(size=(m, p - 1))])
+        index = np.concatenate([np.arange(m), rng.integers(0, m, p + extra)])
+        y = rng.normal(size=len(index)) + 10.0 * table[index, -1]
+        results = []
+        for dtype in (np.int8, np.int16, np.int32, np.intp, np.uint8):
+            design = DesignMatrix(table, simple_labels(map(str, range(p))), y,
+                                  cell_index=index.astype(dtype))
+            assert design.cell_index.dtype == dtype
+            try:
+                results.append(fit(design))
+            except RankDeficient:
+                results.append(None)
+        base = results[0]
+        for other in results[1:]:
+            assert (other is None) == (base is None)
+            if base is None:
+                continue
+            for name in ("coefficients", "stderr", "cov", "fitted", "residuals"):
+                assert np.array_equal(getattr(other, name), getattr(base, name))
+            assert (other.rss, other.r_squared) == (base.rss, base.r_squared)
 
 
 class TestNonFinite:
@@ -778,7 +884,6 @@ class TestOneTailed:
 
 
 def _fake_fit(estimate: float, p_two: float) -> FitResult:
-    zeros = np.zeros(2)
     return FitResult(
         coefficients=np.array([10.0, estimate]),
         stderr=np.array([1.0, 1.0]),
@@ -790,8 +895,9 @@ def _fake_fit(estimate: float, p_two: float) -> FitResult:
         labels=["a", "b"],
         r_squared=0.5,
         rss=10.0,
-        fitted=zeros,
-        residuals=zeros,
+        cell_fitted=np.zeros(1),
+        cell_index=np.zeros(2, dtype=np.int8),
+        response=np.zeros(2),
     )
 
 
