@@ -122,23 +122,31 @@ def _tail_request(args: argparse.Namespace) -> tuple[str, str] | None:
     return label, direction
 
 
+def _check_names(flag: str, pairs, in_formula: set[str]) -> None:
+    """Each NAME of a NAME=VALUE flag is a formula variable, named once."""
+    named = set()
+    for name, _ in pairs:
+        if name not in in_formula:
+            raise UsageError(f"{flag} variable {name!r} is not in the formula")
+        if name in named:
+            raise UsageError(f"{flag} names variable {name!r} more than once")
+        named.add(name)
+
+
 def _prepare(args: argparse.Namespace, require_refs: bool = False):
+    """Every flag is checked before the data is read."""
     ast = parse_formula(args.formula)
     in_formula = set(ast.variables())
     if require_refs and not args.refs:
         raise UsageError("relevel requires at least one --refs VAR=LEVEL")
-    named = set()
-    for name, _ in args.refs:
-        if name not in in_formula:
-            raise UsageError(f"--refs variable {name!r} is not in the formula")
-        if name in named:
-            raise UsageError(f"--refs names variable {name!r} more than once")
-        named.add(name)
+    _check_names("--refs", args.refs, in_formula)
+    _check_names("--at", getattr(args, "at", []), in_formula)
+    if hasattr(args, "tail"):
+        _tail_request(args)
     with _open_data(args) as fh:
         data = read_csv(fh)
     data = listwise_delete(data, [ast.response, *ast.variables()])
-    design = build_design(ast, data, args.scheme, dict(args.refs))
-    return ast, data, design
+    return build_design(ast, data, args.scheme, dict(args.refs))
 
 
 def _open_data(args: argparse.Namespace) -> io.BufferedIOBase:
@@ -193,14 +201,14 @@ def _emit_fit(args: argparse.Namespace, design, result) -> None:
 
 
 def _cmd_fit(args: argparse.Namespace, require_refs: bool = False) -> int:
-    _, _, design = _prepare(args, require_refs=require_refs)
+    design = _prepare(args, require_refs=require_refs)
     result = fit(design)
     _emit_fit(args, design, result)
     return 0
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    _, _, design = _prepare(args)
+    design = _prepare(args)
     # The header is quoted where a label holds a comma; a float's repr
     # never needs quoting, so each pattern row is formatted once. Arrays
     # are read in blocks, so no more than a block is ever held as Python
@@ -220,11 +228,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    ast, _, design = _prepare(args)
-    in_formula = set(ast.variables())
-    for name, _ in args.at:
-        if name not in in_formula:
-            raise UsageError(f"--at variable {name!r} is not in the formula")
+    design = _prepare(args)
     profile = dict(args.at)
     result = fit(design)
     value = predict_mean(result, profile, design)

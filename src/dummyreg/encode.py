@@ -115,16 +115,27 @@ class DesignMatrix:
     def __init__(self, values, labels, response, response_name="y", info=None,
                  *, cell_index=None):
         """``values`` is the m x p table that ``cell_index`` gathers rows
-        from; without an index, table row i is data row i. The index
-        keeps its integer type (build_design's is the narrowest that
-        holds m); see _table_index."""
+        from; without an index, table row i is data row i. The index is
+        frozen in its own integer type (build_design's is the narrowest
+        that holds m), except that one np.bincount cannot read as intp
+        (uint64) becomes intp. Raises ValueError for an index that is not
+        one-dimensional, not of an integer type or out of range."""
         table = _frozen(np.asarray(values, dtype=np.float64))
         response = _frozen(np.asarray(response, dtype=np.float64))
         labels = tuple(labels)
         if table.ndim != 2 or table.shape[1] != len(labels):
             raise ValueError("values shape does not match label count")
         m = table.shape[0]
-        cell_index = _table_index(np.arange(m) if cell_index is None else cell_index, m)
+        cell_index = np.asarray(np.arange(m) if cell_index is None else cell_index)
+        if cell_index.dtype.kind not in "iu":
+            raise ValueError(f"cell index of type {cell_index.dtype}, not integer")
+        # Tested in the index's own type, so that no entry can wrap.
+        if cell_index.ndim != 1 or (cell_index.size and not (
+                0 <= int(cell_index.min()) and int(cell_index.max()) < m)):
+            raise ValueError("cell index out of range for the table")
+        if not np.can_cast(cell_index.dtype, np.intp):
+            cell_index = cell_index.astype(np.intp)
+        cell_index = _frozen(cell_index)
         if response.shape != cell_index.shape:
             raise ValueError("response length does not match row count")
         for name, value in (("labels", labels), ("response", response),
@@ -427,23 +438,6 @@ def _bincount_blocks(index: np.ndarray, m: int,
         total += np.bincount(index[rows], None if weights is None else weights[rows],
                              minlength=m)
     return total
-
-
-def _table_index(cell_index, m: int) -> np.ndarray:
-    """cell_index, frozen in its own integer type, once every entry is
-    known to pick one of m table rows; one that np.bincount cannot read
-    as intp (uint64) becomes intp. Raises ValueError for an index that
-    is not one-dimensional, not of an integer type or out of range."""
-    cell_index = np.asarray(cell_index)
-    if cell_index.dtype.kind not in "iu":
-        raise ValueError(f"cell index of type {cell_index.dtype}, not integer")
-    # Tested in the index's own type, so that no entry can wrap.
-    if cell_index.ndim != 1 or (cell_index.size and not (
-            0 <= int(cell_index.min()) and int(cell_index.max()) < m)):
-        raise ValueError("cell index out of range for the table")
-    if not np.can_cast(cell_index.dtype, np.intp):
-        cell_index = cell_index.astype(np.intp)
-    return _frozen(cell_index)
 
 
 def _compact(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

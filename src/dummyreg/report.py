@@ -140,7 +140,7 @@ def render_json(
         "sigma2": float(fit.sigma2),
         "rss": float(fit.rss),
         "r_squared": float(fit.r_squared),
-        "n_rows": int(fit.df_residual + len(fit.coefficients)),
+        "n_rows": fit.design.n_rows,
         "scheme": scheme,
         "references": dict(refs or {}),
     }

@@ -20,8 +20,7 @@ import numpy as np
 
 from .dataset import _first_row, _frozen, _seed
 from .encode import (
-    ColumnLabel, DesignInfo, DesignMatrix, _bincount_blocks, _row_blocks, _table_index,
-    profile_row,
+    DesignInfo, DesignMatrix, _bincount_blocks, _row_blocks, profile_row,
 )
 from .errors import (
     DimensionMismatch,
@@ -41,52 +40,67 @@ _SQUARES_FLOOR = 2.0 ** -900
 
 @dataclass(frozen=True)
 class FitResult:
-    """A fit's estimates and tests. The n-row ``fitted`` and
-    ``residuals`` are made on first read from each pattern's fitted
-    value, the design's pattern index and its response."""
+    """What a fit solved: its design, the read-only (p+1)-square R factor
+    of [X | y], RSS and R^2. Every estimate, test and fitted value is
+    made from these on first read, and kept read-only."""
 
-    coefficients: np.ndarray
-    stderr: np.ndarray
-    t_values: np.ndarray
-    p_two_tailed: np.ndarray
-    df_residual: int
-    sigma2: float
-    cov: np.ndarray
-    labels: tuple[ColumnLabel, ...]
-    r_squared: float
+    design: DesignMatrix
+    r: np.ndarray
     rss: float
-    cell_fitted: np.ndarray  # m floats
-    cell_index: np.ndarray  # n table rows, an integer type
-    response: np.ndarray  # n floats
+    r_squared: float
 
     def __post_init__(self):
-        labels = tuple(
-            ColumnLabel(l, l) if isinstance(l, str) else l for l in self.labels
-        )
-        object.__setattr__(self, "labels", labels)
-        for name in ("coefficients", "stderr", "t_values", "p_two_tailed",
-                     "cov", "cell_fitted", "response"):
-            arr = _frozen(np.asarray(getattr(self, name), dtype=np.float64))
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "cell_index",
-                           _table_index(self.cell_index, len(self.cell_fitted)))
+        r = _frozen(np.asarray(self.r, dtype=np.float64))
+        if r.shape != (self.n_cols + 1,) * 2:
+            raise ValueError("r must be (p+1)-square for a design of p columns")
+        object.__setattr__(self, "r", r)
+
+    labels = property(lambda self: self.design.labels)
+    n_cols = property(lambda self: self.design.n_cols)
+    df_residual = property(lambda self: self.design.n_rows - self.design.n_cols)
+    sigma2 = property(lambda self: self.rss / self.df_residual)
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        p = self.n_cols
+        return _seed(self, "coefficients", _back_substitute(self.r[:p, :p], self.r[:p, p]))
+
+    @cached_property
+    def cov(self) -> np.ndarray:
+        p = self.n_cols
+        r_inv = _back_substitute(self.r[:p, :p], np.eye(p))
+        return _seed(self, "cov", self.sigma2 * (r_inv @ r_inv.T))
+
+    @cached_property
+    def _tests(self) -> tuple[np.ndarray, ...]:
+        """SE, t and two-tailed p of each coefficient, read-only."""
+        tests = _t_tests(self.coefficients, np.diag(self.cov), self.df_residual)
+        for values in tests:
+            values.flags.writeable = False
+        return tests
+
+    stderr = property(lambda self: self._tests[0])
+    t_values = property(lambda self: self._tests[1])
+    p_two_tailed = property(lambda self: self._tests[2])
+
+    @cached_property
+    def cell_fitted(self) -> np.ndarray:
+        """Each table row's fitted value, read-only."""
+        return _seed(self, "cell_fitted", self.design.cell_table @ self.coefficients)
 
     @cached_property
     def fitted(self) -> np.ndarray:
         """The n fitted values, read-only."""
-        out = np.empty(len(self.cell_index))
+        cell = self.design.cell_index
+        out = np.empty(len(cell))
         for rows in _row_blocks(len(out)):
-            self.cell_fitted.take(self.cell_index[rows].astype(np.intp), out=out[rows])
+            self.cell_fitted.take(cell[rows].astype(np.intp), out=out[rows])
         return _seed(self, "fitted", out)
 
     @cached_property
     def residuals(self) -> np.ndarray:
         """The n residuals, response less fitted, read-only."""
-        return _seed(self, "residuals", self.response - self.fitted)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.coefficients)
+        return _seed(self, "residuals", self.design.response - self.fitted)
 
     def index_of(self, label: str) -> int:
         for i, lab in enumerate(self.labels):
@@ -173,13 +187,6 @@ def fit(design: DesignMatrix) -> FitResult:
     cell_fitted = table @ coefficients
     mean = float(sums.sum()) / n
     rss, tss = _sums_of_squares(y, cell, cell_fitted, mean)
-    df = n - p
-    sigma2 = rss / df
-
-    r_inv = _back_substitute(r[:p, :p], np.eye(p))
-    cov = sigma2 * (r_inv @ r_inv.T)
-
-    stderr, t_values, p_two = _t_tests(coefficients, np.diag(cov), df)
 
     if tss < _SQUARES_FLOOR:  # R^2 from y scaled, exactly, to about unit size
         largest = max(abs(float(y.min())), abs(float(y.max())))
@@ -189,21 +196,11 @@ def fit(design: DesignMatrix) -> FitResult:
         rss_unit = rss
     r_squared = 0.0 if tss == 0 else min(max(1.0 - rss_unit / tss, 0.0), 1.0)
 
-    return FitResult(
-        coefficients=coefficients,
-        stderr=stderr,
-        t_values=t_values,
-        p_two_tailed=p_two,
-        df_residual=df,
-        sigma2=sigma2,
-        cov=cov,
-        labels=design.labels,
-        r_squared=r_squared,
-        rss=rss,
-        cell_fitted=cell_fitted,
-        cell_index=cell,
-        response=y,
-    )
+    result = FitResult(design, r, rss, r_squared)
+    # The RSS pass needed these; the result would derive the same arrays.
+    _seed(result, "coefficients", coefficients)
+    _seed(result, "cell_fitted", cell_fitted)
+    return result
 
 
 def _sums_of_squares(y, cell, cell_fitted, mean: float,

@@ -12,6 +12,7 @@ from dummyreg import (
     Cell,
     CellMeanSpec,
     Dataset,
+    DesignMatrix,
     FitResult,
     build_design,
     cell_means,
@@ -22,9 +23,11 @@ from dummyreg import (
     one_tailed_p,
     parse_formula,
     render_text,
+    simple_labels,
     synthesize,
 )
 from dummyreg.cli import main
+from dummyreg.solve import two_tailed_p
 from dummyreg.oracle import (
     dummy_trap_caught,
     saturated_cell_mean_error,
@@ -124,23 +127,14 @@ def test_07_t_cdf_accuracy():
 
 
 def test_08_one_tailed_halving():
-    result = FitResult(
-        coefficients=np.array([10.0, -1.3]),
-        stderr=np.array([1.0, 1.0]),
-        t_values=np.array([10.0, -1.3]),
-        p_two_tailed=np.array([0.001, 0.16]),
-        df_residual=10,
-        sigma2=1.0,
-        cov=np.eye(2),
-        labels=["a", "b"],
-        r_squared=0.5,
-        rss=10.0,
-        cell_fitted=np.zeros(1),
-        cell_index=np.zeros(2, dtype=np.int8),
-        response=np.zeros(2),
-    )
-    err = abs(one_tailed_p(result, "b", "less") - 0.08)
-    _line(8, err < 1e-12, f"one-tailed p from two-tailed .16: err {err:.2e}")
+    # Coefficients (10, -1.3), each with SE 1 at df 10.
+    design = DesignMatrix(np.column_stack([np.ones(12), np.arange(12) % 2]),
+                          simple_labels(["a", "b"]), np.zeros(12))
+    r = [[1.0, 0.0, 10.0], [0.0, 1.0, -1.3], [0.0, 0.0, 0.0]]
+    result = FitResult(design, r, rss=10.0, r_squared=0.5)
+    p_two = two_tailed_p(1.3, 10)
+    err = abs(one_tailed_p(result, "b", "less") - p_two / 2)
+    _line(8, err < 1e-12, f"one-tailed p from two-tailed {p_two:.4f}: err {err:.2e}")
 
 
 def test_09_golden_two_group_table(tmp_path, capsys):

@@ -406,6 +406,24 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: --refs names variable 'g' more than once\n"
 
+    # Also before the CSV is read, by the same rule for --at as for --refs.
+    @pytest.mark.parametrize("subcommand, flags, message", [
+        ("fit", ["--tail", "bogus"], "--tail must be 'two', 'less:LABEL', or "
+                                     "'greater:LABEL', got 'bogus'"),
+        ("relevel", ["--refs", "g=b", "--tail", "less:"], "--tail must be 'two', "
+                    "'less:LABEL', or 'greater:LABEL', got 'less:'"),
+        ("predict", ["--at", "g=a", "--at", "x=1", "--at", "g=b"],
+         "--at names variable 'g' more than once"),
+        ("predict", ["--at", "g=a", "--at", "z=1"], "--at variable 'z' is not in the formula"),
+    ], ids=["tail", "relevel-tail", "at-twice", "at-unknown"])
+    def test_flags_are_checked_before_the_data(self, capsys, tmp_path, subcommand,
+                                               flags, message):
+        code, out, err = run_cli(
+            capsys, subcommand, "--data", str(tmp_path / "nope.csv"),
+            "--formula", "y ~ g + x", *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("places", ["-1", "two"])
     def test_bad_rounding(self, capsys, two_group_csv, places):
         code, out, err = run_cli(
