@@ -46,7 +46,7 @@ def main() -> None:
     print()
     for female in ("0", "1"):
         for edu in ("low", "middle", "high"):
-            mean = predict_mean(result, {"female": female, "edu": edu}, design)
+            mean = predict_mean(result, {"female": female, "edu": edu})
             print(f"predicted mean female={female} edu={edu:>6}: {mean:.2f}")
 
 

@@ -26,13 +26,11 @@ from .dataset import (
 from .encode import (
     CategoricalInfo,
     ColumnLabel,
-    ContrastScheme,
     DesignInfo,
     DesignMatrix,
     apply_transform,
     build_design,
     design_references,
-    encode_categorical,
     profile_row,
     relevel,
     simple_labels,
@@ -90,7 +88,6 @@ __all__ = [
     "ColumnLabel",
     "ColumnSchema",
     "ConstExpr",
-    "ContrastScheme",
     "Dataset",
     "DesignInfo",
     "DesignMatrix",
@@ -107,7 +104,6 @@ __all__ = [
     "categorical_column",
     "cell_means",
     "design_references",
-    "encode_categorical",
     "fit",
     "format_p",
     "format_value",

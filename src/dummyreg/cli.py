@@ -231,7 +231,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     design = _prepare(args)
     profile = dict(args.at)
     result = fit(design)
-    value = predict_mean(result, profile, design)
+    value = predict_mean(result, profile)
     if args.output == "json":
         doc = {
             "response": design.response_name,

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -45,16 +45,6 @@ DEFAULT_SCHEME = "treatment"
 
 
 @dataclass(frozen=True)
-class ContrastScheme:
-    kind: str  # "treatment" | "effect" | "weighted"
-    omitted_level: str
-
-    def __post_init__(self):
-        if self.kind not in SCHEMES:
-            raise ValueError(f"unknown contrast scheme {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class ColumnLabel:
     """Ties a design column back to its term, variables, and levels."""
 
@@ -76,13 +66,14 @@ class CategoricalInfo:
     """How one categorical variable was encoded in a given design."""
 
     name: str
-    scheme: ContrastScheme
+    kind: str  # "treatment" | "effect" | "weighted"
+    omitted_level: str
     levels: tuple[str, ...]
     counts: tuple[int, ...]
 
     @property
     def kept(self) -> tuple[str, ...]:
-        return tuple(lv for lv in self.levels if lv != self.scheme.omitted_level)
+        return tuple(lv for lv in self.levels if lv != self.omitted_level)
 
 
 @dataclass(frozen=True)
@@ -168,48 +159,33 @@ def simple_labels(texts: Iterable[str]) -> tuple[ColumnLabel, ...]:
     return tuple(ColumnLabel(t, t, (t,), (t,)) for t in texts)
 
 
-def _contrast_matrix(info: CategoricalInfo, stacklevel: int = 3) -> np.ndarray:
-    """Per-level contrast rows, shape (k, k-1); row i encodes level i."""
-    levels, counts, scheme = info.levels, info.counts, info.scheme
+def _contrast_matrix(info: CategoricalInfo) -> np.ndarray:
+    """Per-level contrast rows, shape (k, k-1); row i encodes level i.
+    A zero-count level is an error under weighted coding, else a warning
+    that names the caller of build_design or profile_row."""
+    levels, counts, kind = info.levels, info.counts, info.kind
     if len(levels) < 2:
         raise SingleLevel(info.name)
-    if scheme.omitted_level not in levels:
-        raise UnknownLevel(info.name, scheme.omitted_level)
+    if info.omitted_level not in levels:
+        raise UnknownLevel(info.name, info.omitted_level)
     for level, count in zip(levels, counts):
         if count == 0:
-            if scheme.kind == "weighted":
-                raise ZeroCountLevel(level, scheme.kind)
+            if kind == "weighted":
+                raise ZeroCountLevel(level, kind)
             warnings.warn(
                 f"level {level!r} of {info.name!r} has no observations",
-                stacklevel=stacklevel,
+                stacklevel=4,
             )
-    omit = levels.index(scheme.omitted_level)
+    omit = levels.index(info.omitted_level)
     kept = [i for i in range(len(levels)) if i != omit]
     matrix = np.zeros((len(levels), len(kept)))
     for j, i in enumerate(kept):
         matrix[i, j] = 1.0
-    if scheme.kind == "effect":
+    if kind == "effect":
         matrix[omit, :] = -1.0
-    elif scheme.kind == "weighted":
+    elif kind == "weighted":
         matrix[omit, :] = [-counts[i] / counts[omit] for i in kept]
     return matrix
-
-
-def encode_categorical(
-    column: CategoricalColumn, scheme: ContrastScheme, name: str = "column"
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Contrast-code one categorical column.
-
-    Returns the n x (k-1) matrix plus the kept (non-omitted) levels in
-    column order. Zero-count levels are an error under weighted coding
-    and a warning otherwise.
-    """
-    if column.has_missing:
-        raise MissingValuesPresent([name])
-    info = CategoricalInfo(
-        name, scheme, column.levels, tuple(int(c) for c in column.counts)
-    )
-    return _contrast_matrix(info)[column.codes], info.kept
 
 
 def apply_transform(
@@ -309,9 +285,7 @@ def _resolve_categoricals(
                    else _level(name, column.levels, omitted))
         kind = next(iter(schemes)) if schemes else default_scheme
         out[name] = CategoricalInfo(
-            name,
-            ContrastScheme(kind, omitted),
-            column.levels,
+            name, kind, omitted, column.levels,
             tuple(int(c) for c in column.counts),
         )
     return out, columns
@@ -335,7 +309,7 @@ def _layout(
     (intercept, mains, then interactions) and their column labels."""
     contrasts = {}  # a loop: before 3.12 a comprehension shifts stacklevel
     for name, info in categoricals.items():
-        contrasts[name] = _contrast_matrix(info, stacklevel=4)
+        contrasts[name] = _contrast_matrix(info)
     terms = [Term()]
     labels = [INTERCEPT_LABEL]
     seen = {_term_signature(Term(), categoricals)}
@@ -589,19 +563,11 @@ def build_design(
     return design
 
 
-def _encoder_context(design: Union[DesignMatrix, DesignInfo]) -> DesignInfo:
-    """A design's DesignInfo; a hand-built design has none: ValueError."""
-    info = design.info if isinstance(design, DesignMatrix) else design
-    if info is None:
-        raise ValueError("design carries no encoder context")
-    return info
-
-
 def relevel(
     refs: Mapping[str, str] | None,
     variable: str,
     new_reference: str,
-    context: Union[Dataset, DesignInfo, DesignMatrix],
+    context: Dataset | DesignMatrix,
 ) -> dict[str, str]:
     """Return an updated reference map omitting, for variable, the level
     that new_reference names.
@@ -615,21 +581,19 @@ def relevel(
             column = _numeric_as_categorical(column.values)
         levels = column.levels
     else:
-        info = _encoder_context(context)
-        if variable not in info.categoricals:
+        if context.info is None:
+            raise ValueError("design carries no encoder context")
+        if variable not in context.info.categoricals:
             raise NotCategorical(variable)
-        levels = info.categoricals[variable].levels
+        levels = context.info.categoricals[variable].levels
     return {**(refs or {}), variable: _level(variable, levels, new_reference)}
 
 
-def design_references(design: Union[DesignMatrix, DesignInfo]) -> dict[str, str]:
+def design_references(design: DesignMatrix) -> dict[str, str]:
     """Omitted level per categorical variable, in design order."""
-    info = design.info if isinstance(design, DesignMatrix) else design
-    if info is None:
+    if design.info is None:
         return {}
-    return {
-        name: ci.scheme.omitted_level for name, ci in info.categoricals.items()
-    }
+    return {name: ci.omitted_level for name, ci in design.info.categoricals.items()}
 
 
 def _profile_number(name: str, raw) -> float:
@@ -642,15 +606,15 @@ def _profile_number(name: str, raw) -> float:
     return value
 
 
-def profile_row(
-    design: Union[DesignMatrix, DesignInfo], profile: Mapping[str, object]
-) -> np.ndarray:
+def profile_row(design: DesignMatrix, profile: Mapping[str, object]) -> np.ndarray:
     """Encode one profile (variable -> level or value) as a design row.
 
     Uses the schemes, references, and level counts captured at build
     time, so weighted-effect rows reuse the original group sizes.
     """
-    info = _encoder_context(design)
+    info = design.info
+    if info is None:
+        raise ValueError("design carries no encoder context")
     ast = info.formula
     missing = [v for v in ast.variables() if v not in profile]
     if missing:

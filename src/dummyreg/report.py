@@ -39,11 +39,12 @@ def format_value(value: float, places: int = 2) -> str:
 
 
 def format_p(p: float, places: int = 2) -> str:
-    """P-value text: "<.01" below the display floor, else fixed-point."""
+    """P-value text: "<.01" below the display floor, else fixed-point to
+    at least the floor's two places, so no p above it reads smaller."""
     p = float(p)
     if math.isfinite(p) and p < P_DISPLAY_FLOOR:
         return f"<{format_value(P_DISPLAY_FLOOR, 2)}"
-    return format_value(p, places)
+    return format_value(p, max(places, 2))
 
 
 def _layout(rows: list[tuple[str, ...]], n_cols: int) -> str:

@@ -14,14 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dataset import _first_row, _frozen, _seed
-from .encode import (
-    DesignInfo, DesignMatrix, _bincount_blocks, _row_blocks, profile_row,
-)
+from .encode import DesignMatrix, _bincount_blocks, _row_blocks, profile_row
 from .errors import (
     DimensionMismatch,
     NonFiniteValue,
@@ -188,7 +186,9 @@ def fit(design: DesignMatrix) -> FitResult:
     mean = float(sums.sum()) / n
     rss, tss = _sums_of_squares(y, cell, cell_fitted, mean)
 
-    if tss < _SQUARES_FLOOR:  # R^2 from y scaled, exactly, to about unit size
+    # R^2 from y scaled, exactly, to about unit size, when TSS may hold
+    # squares that underflowed or overflowed.
+    if not _SQUARES_FLOOR <= tss < math.inf:
         largest = max(abs(float(y.min())), abs(float(y.max())))
         rss_unit, tss = _sums_of_squares(y, cell, cell_fitted, mean,
                                          shift=-math.frexp(largest)[1])
@@ -387,7 +387,12 @@ def linear_combination(
 def predict_mean(
     fit_result: FitResult,
     profile: Mapping[str, object],
-    design: Union[DesignMatrix, DesignInfo],
+    design: DesignMatrix | None = None,
 ) -> float:
-    """Estimated mean response for one profile: w'b, w its design row."""
-    return linear_combination(fit_result, profile_row(design, profile)).estimate
+    """Estimated mean response for one profile: w'b, w its row in the
+    design that the result was fitted on. A design given must be that
+    one: any other raises ValueError."""
+    if design is not None and design is not fit_result.design:
+        raise ValueError("design is not the one the result was fitted on")
+    row = profile_row(fit_result.design, profile)
+    return linear_combination(fit_result, row).estimate

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from dummyreg import (
     CategoricalColumn,
-    ContrastScheme,
     Dataset,
     NumericColumn,
     VarRef,
@@ -19,7 +18,6 @@ from dummyreg import (
     build_design,
     categorical_column,
     design_references,
-    encode_categorical,
     fit,
     numeric_column,
     parse_formula,
@@ -44,8 +42,8 @@ from dummyreg.errors import (
 )
 from dummyreg.dataset import _code_dtype
 from dummyreg.encode import (
-    DesignMatrix, _ROW_BLOCK, _bincount_blocks, _numeric_as_categorical,
-    _occupied_cells, simple_labels,
+    DesignMatrix, _ROW_BLOCK, _bincount_blocks, _contrast_matrix,
+    _numeric_as_categorical, _occupied_cells, simple_labels,
 )
 from dummyreg.formula import ConstExpr, format_number, format_ref
 
@@ -55,25 +53,33 @@ def edu_column(n_low=1, n_middle=1, n_high=1):
     return categorical_column(cells, ("low", "middle", "high"), pinned=True)
 
 
+def coded(column, scheme, ref):
+    """The edu columns that build_design codes for y ~ edu, and the kept
+    levels that its labels name."""
+    data = Dataset({"y": numeric_column(np.zeros(len(column.codes))), "edu": column})
+    design = build_design(parse_formula("y ~ edu"), data, scheme, {"edu": ref})
+    return design.values[:, 1:], tuple(lab.text[4:-1] for lab in design.labels[1:])
+
+
 class TestEncodeCategorical:
     def test_treatment_rows(self):
-        x, kept = encode_categorical(edu_column(), ContrastScheme("treatment", "low"))
+        x, kept = coded(edu_column(), "treatment", "low")
         assert kept == ("middle", "high")
         assert x.tolist() == [[0, 0], [1, 0], [0, 1]]
 
     def test_effect_rows(self):
-        x, _ = encode_categorical(edu_column(), ContrastScheme("effect", "low"))
+        x, _ = coded(edu_column(), "effect", "low")
         assert x.tolist() == [[-1, -1], [1, 0], [0, 1]]
 
     def test_missing_value_rejected(self):
         col = categorical_column(["low", "NA", "high"], ("low", "high"))
         with pytest.raises(MissingValuesPresent) as exc:
-            encode_categorical(col, ContrastScheme("treatment", "low"), "edu")
+            coded(col, "treatment", "low")
         assert exc.value.variables == ("edu",)
 
     def test_weighted_rows(self):
         col = edu_column(10, 20, 5)
-        x, kept = encode_categorical(col, ContrastScheme("weighted", "low"))
+        x, kept = coded(col, "weighted", "low")
         assert kept == ("middle", "high")
         assert x[0].tolist() == [-2.0, -0.5]
         assert x[10].tolist() == [1.0, 0.0]
@@ -81,14 +87,14 @@ class TestEncodeCategorical:
 
     def test_treatment_row_sums(self):
         col = edu_column(3, 4, 2)
-        x, _ = encode_categorical(col, ContrastScheme("treatment", "middle"))
+        x, _ = coded(col, "treatment", "middle")
         sums = x.sum(axis=1)
         is_ref = np.array([lv == 1 for lv in col.codes])
         assert np.array_equal(sums, np.where(is_ref, 0.0, 1.0))
 
     def test_weighted_columns_sum_to_zero_exactly_on_dyadic_counts(self):
         col = edu_column(4, 8, 2)
-        x, _ = encode_categorical(col, ContrastScheme("weighted", "low"))
+        x, _ = coded(col, "weighted", "low")
         assert x.sum(axis=0).tolist() == [0.0, 0.0]
 
     def test_weighted_columns_sum_to_zero_on_random_counts(self):
@@ -98,40 +104,34 @@ class TestEncodeCategorical:
             cells = [f"g{i}" for i, c in enumerate(counts) for _ in range(c)]
             col = categorical_column(cells)
             omit = f"g{int(rng.integers(len(counts)))}"
-            x, _ = encode_categorical(col, ContrastScheme("weighted", omit))
+            x, _ = coded(col, "weighted", omit)
             assert np.abs(x.sum(axis=0)).max() < 1e-12 * len(cells)
 
     def test_effect_columns_sum_to_zero_only_when_balanced(self):
-        balanced, _ = encode_categorical(
-            edu_column(2, 2, 2), ContrastScheme("effect", "low"))
+        balanced, _ = coded(edu_column(2, 2, 2), "effect", "low")
         assert balanced.sum(axis=0).tolist() == [0.0, 0.0]
-        lopsided, _ = encode_categorical(
-            edu_column(5, 2, 2), ContrastScheme("effect", "low"))
+        lopsided, _ = coded(edu_column(5, 2, 2), "effect", "low")
         assert np.abs(lopsided.sum(axis=0)).max() > 0
 
     def test_single_level_rejected(self):
         col = categorical_column(["only", "only"])
         with pytest.raises(SingleLevel):
-            encode_categorical(col, ContrastScheme("treatment", "only"))
+            coded(col, "treatment", "only")
 
     def test_zero_count_level_fatal_under_weighted(self):
         col = categorical_column(["a", "b"], ("a", "b", "c"), pinned=True)
         with pytest.raises(ZeroCountLevel) as exc:
-            encode_categorical(col, ContrastScheme("weighted", "a"))
+            coded(col, "weighted", "a")
         assert exc.value.level == "c"
 
     def test_zero_count_level_warns_under_treatment(self):
         col = categorical_column(["a", "b"], ("a", "b", "c"), pinned=True)
         with pytest.warns(UserWarning, match="'c'"):
-            encode_categorical(col, ContrastScheme("treatment", "a"))
+            coded(col, "treatment", "a")
 
     def test_unknown_omitted_level(self):
         with pytest.raises(UnknownLevel):
-            encode_categorical(edu_column(), ContrastScheme("treatment", "phd"))
-
-    def test_bad_scheme_kind(self):
-        with pytest.raises(ValueError):
-            ContrastScheme("helmert", "low")
+            coded(edu_column(), "treatment", "phd")
 
 
 class TestApplyTransform:
@@ -248,7 +248,7 @@ class TestBuildDesign:
             parse_formula('bmi ~ female * cat(edu, ref="low", scheme="effect")'),
             data)
         info = design.info.categoricals["edu"]
-        assert info.scheme.kind == "effect"
+        assert info.kind == "effect"
         low_rows = design.values[:, 2][:4]
         assert low_rows.tolist() == [-1.0] * 4
 
@@ -737,8 +737,8 @@ def factor_column(design, data, refs_by_text, variable, detail):
     if not isinstance(column, CategoricalColumn):
         names = [format_number(v) for v in column.values]
         column = categorical_column(names, ci.levels, pinned=True)
-    block, kept = encode_categorical(column, ci.scheme, variable)
-    return block[:, kept.index(detail[len(variable) + 1:-1])]
+    block = _contrast_matrix(ci)[column.codes]
+    return block[:, ci.kept.index(detail[len(variable) + 1:-1])]
 
 
 def dense_values(design, data, ast):

@@ -80,6 +80,15 @@ class TestFormatP:
         assert format_p(0.01) == ".01"
         assert format_p(0.014) == ".01"
 
+    def test_fewer_places_than_the_floor_keep_its_two(self):
+        # Rounded to 0 or 1 places, .044 read ".0" or "0", smaller than
+        # the "<.01" that p = .005 reads.
+        for places in (0, 1):
+            assert format_p(0.044, places) == ".04"
+            assert format_p(0.44, places) == ".44"
+            assert format_p(0.005, places) == "<.01"
+        assert format_p(0.044, 3) == ".044"
+
 
 TWO_GROUP_GOLDEN = (
     "             coefficients  standard error  t-value  p-value (2-tailed)\n"

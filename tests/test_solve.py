@@ -29,6 +29,7 @@ from dummyreg import (
     parse_formula,
     predict_mean,
     profile_row,
+    read_csv_text,
     simple_labels,
 )
 from dummyreg.dataset import _code_dtype
@@ -518,14 +519,16 @@ class TestTotalSumOfSquares:
                         "g": CategoricalColumn(tuple("abcd"[:k]), np.arange(n) % k)})
         assert fit(build_design(parse_formula("y ~ g"), data)).r_squared == 0.0
 
-    @pytest.mark.parametrize("shift", [-540, -1000, 0, 500])
-    def test_r_squared_does_not_depend_on_the_scale_of_y(self, shift):
-        # At 2^-540 the squares of y's spread fall below 2^-1022.
+    @pytest.mark.parametrize("scale", [2.0 ** -540, 2.0 ** -1000, 1.0, 2.0 ** 500, 6e152],
+                             ids=["-540", "-1000", "0", "500", "6e152"])
+    def test_r_squared_does_not_depend_on_the_scale_of_y(self, scale):
+        # At 2^-540 the squares of y's spread fall below 2^-1022. At
+        # 6e152 RSS is finite but TSS overflows, which read R^2 = 1.
         rng = np.random.default_rng(8)
         y, data = self.data(300, 4, lambda v: v, rng)
         ast = parse_formula("y ~ g + x")
         base = fit(build_design(ast, data)).r_squared
-        scaled = Dataset({**data.columns, "y": numeric_column(np.ldexp(y, shift))})
+        scaled = Dataset({**data.columns, "y": numeric_column(y * scale)})
         assert abs(fit(build_design(ast, scaled)).r_squared - base) <= 1e-12
 
     @pytest.mark.parametrize("n", [50, 2 * _ROW_BLOCK + 3])
@@ -928,6 +931,16 @@ class TestPredictMean:
         got = predict_mean(result, {"female": 0, "edu": "low"}, design)
         assert got == result.coefficients[0]
 
+    def test_profile_is_encoded_by_the_fitted_design(self):
+        # A y ~ h design is as wide as the y ~ g fit, so encoding with it
+        # read {"h": "b"} as g = b.
+        data = read_csv_text("y,g,h\n1,a,a\n2,b,a\n3,a,a\n4,b,b\n5,a,b\n6,b,b\n")
+        result = fit(build_design(parse_formula("y ~ g"), data))
+        other = build_design(parse_formula("y ~ h"), data)
+        with pytest.raises(ValueError, match="not the one the result was fitted on"):
+            predict_mean(result, {"h": "b"}, other)
+        assert predict_mean(result, {"g": "b"}) == 4.0
+
 
 @st.composite
 def inference_cases(draw):
@@ -973,8 +986,9 @@ class TestOneTestRule:
                    else float(rng.choice(column.values))
                    for name, column in data.columns.items() if name != "y"}
         row = profile_row(design, profile)
-        assert predict_mean(result, profile, design) \
-            == linear_combination(result, row).estimate
+        mean = predict_mean(result, profile)
+        assert mean == linear_combination(result, row).estimate
+        assert mean == predict_mean(result, profile, design)
 
     @settings(max_examples=50, deadline=None)
     @given(inference_cases())
