@@ -195,7 +195,7 @@ def _emit_fit(args: argparse.Namespace, design, result) -> None:
                 "direction": direction,
                 "p": one_tailed_p(result, label, direction),
             }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2, allow_nan=False))
     else:
         print(render_text(result, refs_meta, args.rounding, one_tailed), end="")
 
@@ -238,7 +238,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             "profile": profile,
             "estimate": value,
         }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2, allow_nan=False))
     else:
         print(format_value(value, args.rounding))
     return 0

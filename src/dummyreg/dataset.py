@@ -15,7 +15,6 @@ import functools
 import io
 import itertools
 import re
-import warnings
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Union
 
@@ -40,11 +39,27 @@ _NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
 # file took 1.3x and 1.6x as long (CPython 3.11).
 _BLOCK_ROWS = 512
 
-# Characters of text that read_csv hands to np.loadtxt at a time, rounded
-# up to the end of a line. This is below csv's default field limit of
-# 128 KiB. On a 2e5-row, 5.6 MB file (CPython 3.11, numpy 2.4), 64 KiB
-# read as fast as 1 MiB and peaked about 10 MB lower.
-_CHUNK_CHARS = 1 << 16
+# Characters of text that read_csv tokenizes at a time, rounded up to
+# the end of a line. A 2e5-row, 5.6 MB file (CPython 3.11, numpy 2.4)
+# read in 82 ms in 256 KiB chunks, in 100 ms in 64 KiB ones (numpy's
+# per-call cost) and in 95 ms in 1 MiB ones, which also raised the CLI's
+# peak RSS from 47 to 56 MB.
+_CHUNK_CHARS = 1 << 18
+
+_COMMA, _NEWLINE = ord(","), ord("\n")
+
+# Each column's fields are padded to the longest one, so a chunk is read
+# by the strict reader when its longest line is more than this many
+# times as long as its mean: a few long lines among many short ones
+# would cost far more memory than the chunk's own bytes.
+_LONGEST_OVER_MEAN = 8
+
+# A plain decimal of at most this many digits is read as an integer
+# mantissa over a power of ten. Both are below 2**53, so exact in float64,
+# and one IEEE division rounds their quotient correctly, as float() does
+# (Clinger, "How to Read Floating Point Numbers Accurately", PLDI 1990).
+_EXACT_DIGITS = 15
+_POW10 = 10.0 ** np.arange(_EXACT_DIGITS + 1)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -210,17 +225,52 @@ class _Codebook:
 
     add() costs one dict lookup per cell and keeps one int64 per row, the
     row where that row's cell first occurs, so a block's strings can be
-    freed once it is added. factorize() strips and numbers each distinct
-    cell once.
+    freed once it is added. add_keys() does the same for cells given as
+    byte keys, and decodes only the keys it has not seen. factorize()
+    strips and numbers each distinct cell once.
     """
 
     def __init__(self):
         self.first_row: dict = {}  # distinct cell -> row it first occurs in
         self.rows = array.array("q")  # each row's first_row value
+        # The byte keys that add_keys() has seen, sorted, and their rows.
+        self.keys = np.empty(0, dtype=np.uint64)
+        self.key_rows = np.empty(0, dtype=np.int64)
 
     def add(self, cells: Iterable) -> None:
         row_numbers = itertools.count(len(self.rows))
         self.rows.extend(map(self.first_row.setdefault, cells, row_numbers))
+
+    def add_keys(self, keys: np.ndarray) -> None:
+        """add() for a block of cells given by _byte_keys. Each key is
+        looked up among the sorted keys seen before; only the others are
+        sorted, and decoded in the order they first occur."""
+        start = len(self.rows)
+        if keys.dtype != self.keys.dtype:  # compared as S keys of one width
+            keys, self.keys = _string_keys(keys), _string_keys(self.keys)
+            wide = np.result_type(keys, self.keys)
+            keys = keys.astype(wide, copy=False)
+            self.keys = self.keys.astype(wide, copy=False)
+        rows = np.empty(keys.size, dtype=np.int64)
+        seen = np.zeros(keys.size, dtype=bool)
+        if self.keys.size:
+            at = np.searchsorted(self.keys, keys)
+            np.minimum(at, self.keys.size - 1, out=at)
+            seen = self.keys[at] == keys
+            rows[seen] = self.key_rows[at[seen]]
+        new = np.flatnonzero(~seen)
+        if new.size:
+            fresh, first, inverse = np.unique(keys[new], return_index=True,
+                                              return_inverse=True)
+            first_rows = start + new[first]
+            rows[new] = first_rows[inverse.reshape(-1)]
+            order = np.argsort(first)
+            cells = map(bytes.decode, _string_keys(fresh[order]).tolist())
+            self.first_row.update(zip(cells, first_rows[order].tolist()))
+            at = np.searchsorted(self.keys, fresh)
+            self.keys = np.insert(self.keys, at, fresh)
+            self.key_rows = np.insert(self.key_rows, at, first_rows)
+        self.rows.frombytes(rows.tobytes())
 
     def factorize(self, strip: bool) -> tuple[list, np.ndarray]:
         """Distinct values in first-appearance order, and each row's index.
@@ -365,14 +415,15 @@ def _line_of(source: IO[str], start: int, row: int) -> int:
 
 
 def _read_fast(source: IO[str], schema: Schema) -> Dataset | None:
-    """read_csv's result from np.loadtxt, or None for the strict reader.
+    """read_csv's result from the text's bytes, or None for the strict
+    reader.
 
     None is returned, and the strict reader decides, when the text may
     tokenize differently under the csv module (a quote, CR, NUL, blank
     line, or a line longer than csv's field limit), when a row's width
     or a header name is wrong, when there is no body, when a column
-    predicted numeric holds a non-number, when numpy reads a number as
-    not finite, or when the text is not UTF-8.
+    predicted numeric holds a non-number or a number read as ±inf, or
+    when the text is not UTF-8 or holds a lone surrogate.
     """
     line_of = functools.partial(_line_of, source, source.tell())
     try:
@@ -389,22 +440,21 @@ def _read_fast(source: IO[str], schema: Schema) -> Dataset | None:
     if body is None:
         return None
     return Dataset({
-        name: NumericColumn(values) if book is None
-        else _read_column(name, book, spec, line_of)
-        for name, spec, book, values in zip(names, specs, *body)
+        name: _read_column(name, column, spec, line_of)
+        if isinstance(column, _Codebook) else NumericColumn(column)
+        for name, spec, column in zip(names, specs, body)
     })
 
 
-def _read_body(source: IO[str], specs: list[ColumnSchema]) -> tuple | None:
+def _read_body(source: IO[str], specs: list[ColumnSchema]) -> list | None:
     """Each column's codebook or its float64 values, or None.
 
-    Column types are predicted from the first rows. A column predicted
-    numeric, with no missing cell there, is parsed to float64 by numpy;
-    every other column's cells go to a codebook, as in the strict
-    reader. A chunk whose numbers loadtxt rejects (say, an "NA") is
-    parsed again with every column as text. A first pass checks the
-    characters and counts the lines, so that each float column is
-    allocated once, at its exact size, and returned whole.
+    The text is read in chunks of whole lines, and each chunk is split
+    into fields as UTF-8 bytes. Column types are predicted from the first
+    rows. A column predicted numeric is parsed to float64 by _numbers;
+    every other column's cells go to a codebook as byte keys. A first
+    pass checks the characters and counts the lines, so that each float
+    column is allocated once, at its exact size, and returned whole.
     """
     start, capacity, chunk = source.tell(), 0, ""
     for chunk in iter(functools.partial(source.read, _CHUNK_CHARS), ""):
@@ -413,55 +463,38 @@ def _read_body(source: IO[str], specs: list[ColumnSchema]) -> tuple | None:
         capacity += chunk.count("\n")
     capacity += not chunk.endswith("\n")  # an unterminated last line
     source.seek(start)
-    books: list = [None] * len(specs)
-    floats: list = [None] * len(specs)
-    as_text = np.dtype([(f"f{j}", object) for j in range(len(specs))])
-    dtype, n_rows, limit = None, 0, csv.field_size_limit()
+    columns, n_rows = None, 0
     while chunk := source.read(_CHUNK_CHARS):
         if not chunk.endswith("\n"):
             chunk += source.readline()
-        # Chunks are read shorter than csv's default limit, so the lines
-        # are measured only when a long line has stretched the chunk.
-        if len(chunk) > limit and max(map(len, chunk.split("\n"))) > limit:
+        if not chunk.endswith("\n"):  # the unterminated last line
+            chunk += "\n"
+        try:
+            fields = _fields(chunk.encode("utf-8"), len(specs))
+        except UnicodeEncodeError:  # a lone surrogate
             return None
-        n_lines = chunk.count("\n") + (not chunk.endswith("\n"))
-        if dtype is None:
-            first = chunk.split("\n", _BLOCK_ROWS)[:min(_BLOCK_ROWS, n_lines)]
-            numeric = _predict_numeric(first, specs)
-            if numeric is None:
-                return None
-            dtype = np.dtype([(f"f{j}", "f8" if is_float else object)
-                              for j, is_float in enumerate(numeric)])
-            for j, is_float in enumerate(numeric):
-                if is_float:
-                    floats[j] = np.empty(capacity)
-                else:
-                    books[j] = _Codebook()
-        table = _loadtxt(chunk, dtype)
-        if table is None:
-            table = _loadtxt(chunk, as_text)
-        # loadtxt skips a blank line, which csv reads as a row of no cells.
-        if table is None or len(table) != n_lines:
+        if fields is None:
             return None
-        end = n_rows + n_lines
+        buf, starts, lengths = fields
+        end = n_rows + lengths.shape[1]
         if end > capacity:
             return None
-        for j, book in enumerate(books):
-            cells = table[f"f{j}"]
-            if book is not None:
-                book.add(cells.tolist())
+        if columns is None:
+            first = chunk.split("\n", _BLOCK_ROWS)[:min(_BLOCK_ROWS, lengths.shape[1])]
+            columns = [np.empty(capacity) if is_float else _Codebook()
+                       for is_float in _predict_numeric(first, specs)]
+        for column, at, size in zip(columns, starts, lengths):
+            if isinstance(column, _Codebook):
+                column.add_keys(_byte_keys(buf, at, size))
                 continue
-            if cells.dtype == object:
-                values = _chunk_numbers(cells.tolist())
-            else:
-                values = cells if np.isfinite(cells).all() else None
+            values = _numbers(buf, at, size)
             if values is None:
                 return None
-            floats[j][n_rows:end] = values
+            column[n_rows:end] = values
         n_rows = end
-    if dtype is None or n_rows != capacity:
+    if columns is None or n_rows != capacity:
         return None
-    return books, floats
+    return columns
 
 
 def _plain(text: str) -> bool:
@@ -469,11 +502,10 @@ def _plain(text: str) -> bool:
     return not ('"' in text or "\r" in text or "\0" in text)
 
 
-def _predict_numeric(lines: list[str], specs: list[ColumnSchema]) -> list[bool] | None:
-    """Per column, whether every cell of these rows is a number."""
+def _predict_numeric(lines: list[str], specs: list[ColumnSchema]) -> list[bool]:
+    """Per column, whether every cell of these rows is a number; _fields
+    has checked that each row holds one cell per column."""
     rows = [line.split(",") for line in lines]
-    if any(len(row) != len(specs) for row in rows):
-        return None
     return [
         spec.kind != "categorical"
         and all(_NUMBER_RE.match(row[j].strip()) for row in rows)
@@ -481,27 +513,129 @@ def _predict_numeric(lines: list[str], specs: list[ColumnSchema]) -> list[bool] 
     ]
 
 
-def _loadtxt(text: str, dtype: np.dtype) -> np.ndarray | None:
-    """The rows of text as one structured array, or None if numpy refuses."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            return np.loadtxt(io.StringIO(text), delimiter=",", dtype=dtype,
-                              comments=None, quotechar=None, ndmin=1)
-        except ValueError:
-            return None
-
-
-def _chunk_numbers(cells: list[str]) -> np.ndarray | None:
-    """A chunk of a numeric column's text cells as floats, or None if one
-    cell is neither missing nor a number."""
-    book = _Codebook()
-    book.add(cells)
-    distinct, codes = book.factorize(strip=True)
-    numbers = [_number(value) for value in distinct]
-    if None in numbers:
+def _fields(raw: bytes, width: int) -> tuple | None:
+    """Plain text of whole lines as bytes, and each field's start and
+    length in them, both (width, rows). None, for the strict reader, when
+    a line does not hold width fields, is blank, is longer than csv's
+    field limit, or is over _LONGEST_OVER_MEAN times the mean line."""
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    newline = buf == _NEWLINE
+    ends = np.flatnonzero(newline | (buf == _COMMA))
+    if ends.size % width:
         return None
-    return np.array(numbers, dtype=np.float64)[codes]
+    line_ends = ends[width - 1::width]
+    if np.count_nonzero(newline) != line_ends.size or not newline[line_ends].all():
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lines = line_ends - starts[::width]
+    longest = int(lines.max())
+    if (lines.min() == 0 or longest > csv.field_size_limit()
+            or longest * lines.size > _LONGEST_OVER_MEAN * len(raw)):
+        return None
+    ends -= starts
+    return (buf, np.ascontiguousarray(starts.reshape(-1, width).T),
+            np.ascontiguousarray(ends.reshape(-1, width).T))
+
+
+def _field_bytes(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                 width: int) -> np.ndarray:
+    """The fields' bytes, NUL-padded to width, as a (width, rows) array."""
+    at = np.arange(width)[:, None]
+    raw = buf.take(starts + at, mode="clip")
+    raw[at >= lengths] = 0
+    return raw
+
+
+def _byte_keys(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each field's bytes as one key: NUL-padded to 8 and read as a
+    big-endian uint64 (so that key order is byte order) when every field
+    fits in 8 bytes, else as S{longest}."""
+    keys = _as_bytes(_field_bytes(buf, starts, lengths, max(int(lengths.max()), 8)))
+    return keys.view(">u8").astype(np.uint64) if keys.itemsize == 8 else keys
+
+
+def _string_keys(keys: np.ndarray) -> np.ndarray:
+    """_byte_keys as S keys, in the same order."""
+    return keys.astype(">u8").view("S8") if keys.dtype == np.uint64 else keys
+
+
+def _numbers(buf: np.ndarray, starts: np.ndarray,
+             lengths: np.ndarray) -> np.ndarray | None:
+    """A numeric column's fields as float64, each as _number reads it
+    stripped; None if one is not a number or is read as ±inf.
+
+    A field of a sign, digits and at most one dot is read, if it has at
+    most _EXACT_DIGITS digits, as mantissa / 10**fraction_digits in one
+    scan over the byte positions. A longer one, or one with an exponent,
+    is cast from its bytes by numpy, which rounds correctly. Any other
+    field (padded, missing, or not ASCII) goes to _number, once per
+    distinct field.
+    """
+    raw = _field_bytes(buf, starts, lengths, max(int(lengths.max()), 1))
+    count = np.uint8 if len(raw) < 256 else np.intp  # sums over the positions
+    digit_value = raw - ord("0")  # uint8, so every non-digit wraps past 9
+    digit = digit_value < 10
+    digit_value *= digit
+    dot = raw == ord(".")
+    digits, dots = digit.sum(0, dtype=count), dot.sum(0, dtype=count)
+    sign = (raw[0] == ord("+")) | (raw[0] == ord("-"))
+    decimal = (digits + dots + sign == lengths) & (dots <= 1) & (digits > 0)
+    exact = decimal & (digits <= _EXACT_DIGITS)
+
+    # The scan stops at the end of the longest exact field. int64 wraps
+    # silently in the fields that are not exact.
+    scan = int(lengths.max(initial=0, where=exact))
+    mantissa = np.zeros(raw.shape[1], dtype=np.int64)
+    for is_digit, value in zip(digit[:scan], digit_value[:scan]):
+        np.multiply(mantissa, 10, out=mantissa, where=is_digit)
+        mantissa += value
+    values = mantissa.astype(np.float64)
+    if dots.any():
+        dot_at = (dot * np.arange(len(raw), dtype=count)[:, None]).sum(0, dtype=count)
+        fraction = np.where(dots > 0, lengths - 1 - dot_at, 0)
+        values /= _POW10.take(np.clip(fraction, 0, _EXACT_DIGITS))
+    if sign.any():
+        np.negative(values, out=values, where=raw[0] == ord("-"))
+    if exact.all():
+        return values
+
+    other = np.flatnonzero(~exact)
+    cast = decimal[other]
+    if not cast.all():
+        cast[~cast] = _scientific(raw[:, other[~cast]])
+    with np.errstate(over="ignore"):  # an overflow reads as inf, tested below
+        values[other[cast]] = _as_bytes(raw[:, other[cast]]).astype(np.float64)
+    rest = other[~cast]
+    if rest.size:
+        cells, codes = np.unique(_as_bytes(raw[:, rest]), return_inverse=True)
+        numbers = [_number(cell.decode("utf-8").strip()) for cell in cells.tolist()]
+        if None in numbers:
+            return None
+        values[rest] = np.array(numbers, dtype=np.float64)[codes.reshape(-1)]
+    return None if np.isinf(values[other]).any() else values
+
+
+def _scientific(raw: np.ndarray) -> np.ndarray:
+    """Which NUL-padded fields, as (width, rows) bytes, are a sign,
+    digits, at most one dot, an exponent mark, a sign and digits: the
+    _NUMBER_RE matches that have an exponent."""
+    at = np.arange(len(raw))[:, None]
+    digit, dot = raw - ord("0") < 10, raw == ord(".")
+    sign = (raw == ord("+")) | (raw == ord("-"))
+    exp = (raw | 0x20) == ord("e")  # e or E
+    exp_at = exp.argmax(0)
+    mantissa = at < exp_at
+    return ((exp.sum(0) == 1) & ~(~(digit | dot | sign | exp) & (raw != 0)).any(0)
+            & (digit & mantissa).any(0) & (digit & (at > exp_at)).any(0)
+            & ((dot & mantissa).sum(0) <= 1) & ~(dot & ~mantissa).any(0)
+            & ~(sign & (at != 0) & (at != exp_at + 1)).any(0))
+
+
+def _as_bytes(raw: np.ndarray) -> np.ndarray:
+    """The fields of a (width, rows) byte array as S{width} values."""
+    return np.ascontiguousarray(raw.T).view(f"S{raw.shape[0]}").ravel()
 
 
 def _read_strict(source: IO[str], schema: Schema) -> Dataset:

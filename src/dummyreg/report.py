@@ -119,28 +119,36 @@ def render_text(
     return _layout(rows, n_cols)
 
 
+def _json_number(value: float) -> float | None:
+    """value as a JSON number: null when it is not finite (an overflowed
+    RSS makes σ² and every SE inf), which JSON cannot spell."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def render_json(
     fit: FitResult,
     refs: Mapping[str, str] | None = None,
     scheme: str | None = None,
 ) -> dict:
-    """Machine-readable fit summary with unrounded values."""
+    """Machine-readable fit summary with unrounded values; a value that
+    is not finite is null."""
     return {
         "coefficients": [
             {
                 "label": label.text,
                 "term": label.term,
-                "estimate": float(fit.coefficients[i]),
-                "stderr": float(fit.stderr[i]),
-                "t": float(fit.t_values[i]),
-                "p_two_tailed": float(fit.p_two_tailed[i]),
+                "estimate": _json_number(fit.coefficients[i]),
+                "stderr": _json_number(fit.stderr[i]),
+                "t": _json_number(fit.t_values[i]),
+                "p_two_tailed": _json_number(fit.p_two_tailed[i]),
             }
             for i, label in enumerate(fit.labels)
         ],
         "df_residual": int(fit.df_residual),
-        "sigma2": float(fit.sigma2),
-        "rss": float(fit.rss),
-        "r_squared": float(fit.r_squared),
+        "sigma2": _json_number(fit.sigma2),
+        "rss": _json_number(fit.rss),
+        "r_squared": _json_number(fit.r_squared),
         "n_rows": fit.design.n_rows,
         "scheme": scheme,
         "references": dict(refs or {}),

@@ -91,6 +91,27 @@ class TestFit:
         assert doc["scheme"] == "treatment"
         assert doc["n_rows"] == 8
 
+    def test_json_writes_an_overflowed_statistic_as_null(self, capsys, tmp_path):
+        # With y scaled by 2**510 the coefficients and R^2 are finite, but
+        # RSS overflows, and with it sigma^2 and every SE.
+        rng = np.random.default_rng(0)
+        g = np.array(["a", "b"])[rng.integers(0, 2, 50)]
+        y = np.ldexp(rng.normal(size=50) + (g == "b"), 510)
+        path = tmp_path / "scaled.csv"
+        path.write_text("y,g\n" + "".join(f"{v!r},{c}\n" for v, c in zip(y.tolist(), g)))
+        code, out, err = run_cli(capsys, "fit", "--data", str(path),
+                                 "--formula", "y ~ g", "--output", "json")
+        assert (code, err) == (0, "")
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["rss"] is None and doc["sigma2"] is None
+        assert [c["stderr"] for c in doc["coefficients"]] == [None, None]
+        assert all(np.isfinite(c["estimate"]) for c in doc["coefficients"])
+        assert 0 < doc["r_squared"] < 1
+
     def test_refs_flag_changes_reference(self, capsys, education_csv):
         code, out, _ = run_cli(
             capsys, "fit", "--data", education_csv, "--formula", "bmi ~ edu",

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dummyreg import dataset
@@ -452,6 +452,7 @@ class TestFastReader:
         pytest.param('g,x\n"a",1\nb,2\n', id="quote"),
         pytest.param("g,x\r\na,1\r\nb,2\r\n", id="carriage-return"),
         pytest.param("g,x\na\0,1\nb,2\n", id="nul"),
+        pytest.param("g,x\na\ud800,1\nb,2\n", id="lone-surrogate"),
         pytest.param("g,x\na,1\n\nb,2\n", id="blank-line"),
         pytest.param("g,x\na,1\nb,2\n\n", id="blank-last-line"),
         pytest.param("g,g\n1,2\n", id="duplicate-name"),
@@ -490,33 +491,127 @@ class TestFastReader:
         assert want[0] is MalformedCsv and "field limit" in want[1]
         assert (got, by_fast) == (want, False)
 
+    def test_one_long_line_among_short_ones(self):
+        # Padding the chunk's 1,001 fields of g to the long one's 400
+        # bytes would take about 90 times the chunk's own bytes.
+        text = "g,x\n" + "a,1\n" * 1000 + "b" * 400 + ",2\n"
+        got, by_fast = _read_traced(read_csv_text, text)
+        _assert_same(got, reference_read_csv(text))
+        assert not by_fast
+        text = "g,x\n" + "a,1\n" * 1000 + "b" * 20 + ",2\n"
+        assert _read_traced(read_csv_text, text)[1]
+
     def test_row_count_short_of_line_count(self):
-        # loadtxt skips lines it deems empty; a chunk that comes back
-        # short must go to the strict reader.
+        # A chunk whose fields come back a row short of its lines must go
+        # to the strict reader.
         text = "x,g\n1,a\n2,b\n"
-        loadtxt = dataset._loadtxt
-        with mock.patch.object(dataset, "_loadtxt",
-                               lambda lines, dtype: loadtxt(lines, dtype)[:-1]):
+        fields = dataset._fields
+
+        def short(raw, width):
+            buf, starts, lengths = fields(raw, width)
+            return buf, starts[:, :-1], lengths[:, :-1]
+
+        with mock.patch.object(dataset, "_fields", short):
             got, by_fast = _read_traced(read_csv_text, text)
         _assert_same(got, reference_read_csv(text))
         assert not by_fast
 
+    @pytest.mark.parametrize("cells", [
+        ["a", "b", "ba", "ab", "longer than 8", "ab", " a"],
+        ["longer than 8", "a", "bb", "a", "x" * 20, "bb"],
+        ["café", "naïve", "café", "日本語テキスト", "naïve ", "NA"],
+    ], ids=["short-then-long", "long-then-short", "multibyte"])
+    def test_text_keys_of_any_width_across_chunks(self, cells):
+        # Keys of at most 8 bytes are integers, longer ones bytes; a
+        # column can change from one to the other between chunks. The
+        # short keys' byte order is not their little-endian order.
+        text = "g,x\n" + "".join(f"{cell},{i}\n" for i, cell in enumerate(cells * 10))
+        for chunk_chars in (1, 7, 64):
+            got, by_fast = _read_traced(read_csv_text, text, chunk_chars=chunk_chars)
+            _assert_same(got, reference_read_csv(text))
+            assert by_fast
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_byte_keys_fill_a_codebook_as_cells_do(self, block):
+        cells = ["a", "b", "ba", "ab", "longer than 8", "ab", " a", "日本語テキスト", "a", "b"]
+        by_cell, by_key = dataset._Codebook(), dataset._Codebook()
+        by_cell.add(cells)
+        for start in range(0, len(cells), block):
+            text = "".join(cell + "\n" for cell in cells[start:start + block])
+            buf, starts, lengths = dataset._fields(text.encode(), 1)
+            by_key.add_keys(dataset._byte_keys(buf, starts[0], lengths[0]))
+        assert list(by_key.first_row.items()) == list(by_cell.first_row.items())
+        assert by_key.rows == by_cell.rows
+
     @pytest.mark.parametrize("last", ["NA,b\n", ",b\n", " 2 ,b\n", "\xa02,b"])
     def test_numeric_column_stays_fast(self, last):
         # The missing or padded cell comes after the rows that set the
-        # column's type, so its chunk is parsed again as text.
+        # column's type, so the number scan hands it to _number.
         text = "x,g\n" + "1,a\n" * self.N + last
         got, by_fast = _read_traced(read_csv_text, text, chunk_chars=16)
         _assert_same(got, reference_read_csv(text))
         assert isinstance(got["x"], NumericColumn)
         assert by_fast
 
-    def test_no_loadtxt_warning_leaks(self):
+    def test_no_warning_leaks(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert read_csv_text("x,g\n1,a\n")["x"].values.tolist() == [1.0]
+            long = "9" * 300  # wraps the scan's int64 mantissa
+            values = read_csv_text(f"x\n{long}\n1e500\n-2.5e-3\n")["x"].values
+            assert values.tolist() == [float(long), float("inf"), -0.0025]
             with pytest.raises(RaggedRow):
                 read_csv_text("x,g\n1,a\n\n2,b\n")
+
+
+@st.composite
+def number_texts(draw):
+    """A text that _NUMBER_RE accepts: a sign, 0-20 integer digits, an
+    optional dot, 0-20 fraction digits and an optional exponent."""
+    digits = st.text("0123456789", max_size=20)
+    whole, fraction = draw(digits), draw(digits)
+    dot = draw(st.booleans()) or not whole
+    if not (whole or fraction):
+        whole = "0"
+    text = draw(st.sampled_from(["", "+", "-"])) + whole
+    if dot:
+        text += "." + fraction
+    if draw(st.booleans()):
+        text += (draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"]))
+                 + draw(st.text("0123456789", min_size=1, max_size=3)))
+    return text
+
+
+class TestNumberScan:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(number_texts(), min_size=1, max_size=30),
+           st.sampled_from([1, 7, 64]))
+    @example(["-0", ".5", "5.", "-0.0", "+.5"], 1)
+    @example(["123456789012345", "1234567890123456", "0.000000000000001",
+              "9007199254740993", "4.9406564584124654e-324", "1e500"], 7)
+    @example(["20000001e317"], 1)  # numpy warns of this overflow, not of 1e500's
+    def test_numbers_read_as_float_reads_them(self, texts, chunk_chars):
+        assert all(dataset._NUMBER_RE.match(text) for text in texts)
+        text = "x,g\n" + "".join(f"{number},a\n" for number in texts)
+        got, by_fast = _read_traced(read_csv_text, text, chunk_chars=chunk_chars)
+        want = np.array([float(number) for number in texts])
+        assert got["x"].values.tobytes() == want.tobytes()
+        # A number read as +-inf is left to the strict reader.
+        assert by_fast == bool(np.isfinite(want).all())
+
+    @pytest.mark.parametrize("text", [
+        "1.2.3", "1..2", "1e", "e5", ".e5", "1.e", "1e+", "1e5.5", "1e5e5",
+        "1E-", "+-1", "--1", "1-", "1+2", "-", "+", ".", "-.", "0x10", "1_000",
+        "1e5-", "1-e5", "1e-+5", "1ee5", "inf", "nan", "1e5x", "x1"])
+    def test_a_near_number_makes_the_column_text(self, text):
+        rows = "x,g\n" + "1.5,a\n" * 40
+        got, by_fast = _read_traced(read_csv_text, rows + f"{text},b\n", chunk_chars=16)
+        assert not by_fast
+        assert isinstance(got["x"], CategoricalColumn)
+        got, by_fast = _read_traced(read_csv_text, rows + f"{text},b\n",
+                                    Schema({"x": ColumnSchema("numeric")}))
+        assert got == (MalformedCsv, "malformed CSV at line 42: "
+                                     f"column 'x': {text!r} is not a number")
 
 
 class TestDecoding:

@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,9 +41,10 @@ from dummyreg.errors import (
     UnknownVariable,
     ZeroCountLevel,
 )
+from dummyreg import encode
 from dummyreg.dataset import _code_dtype
 from dummyreg.encode import (
-    DesignMatrix, _ROW_BLOCK, _bincount_blocks, _contrast_matrix,
+    DesignMatrix, _ROW_BLOCK, _bincount_blocks, _contrast_matrix, _counted_unique,
     _numeric_as_categorical, _occupied_cells, simple_labels,
 )
 from dummyreg.formula import ConstExpr, format_number, format_ref
@@ -649,6 +651,47 @@ class TestNumericAsCategorical:
         assert relevel({}, "x", "nan", data) == {"x": "nan"}
         assert np.array_equal(column.codes, self.by_search(data["x"].values)[1])
         assert column.codes.tolist() == [1, 2, 0, 2, 1]
+
+
+class TestCountedKeys:
+    """Whole numbers keyed by counting give what sorting gives."""
+
+    CASES = {
+        "ages": [18.0, 45.0, 80.0, 45.0, 18.0],
+        "top-of-exact": [2.0**53 - 1, 2.0**53 - 3, 2.0**53 - 1],
+        "single": [7.0],
+        "signed-zeros": [0.0, -0.0, 1.0, 0.0],
+        "negative": [-2.0, -1.0, 0.0, 3.0],
+        "past-exact": [2.0**53, 2.0**53 - 1],
+        "fractions": [0.5, 1.0, 1.5],
+        "wide": [0.0, 1.0, 1e6],
+        "huge": [1e300, 0.0],
+        "nan": [1.0, np.nan, 2.0, np.nan],  # as in a dataset not yet deleted
+    }
+    COUNTED = {"ages", "top-of-exact", "single"}
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_occupied_cells_and_cat_levels_match_sorting(self, name):
+        values = np.array(self.CASES[name] * 5)
+        n = values.size
+        assert (_counted_unique(values) is not None) == (name in self.COUNTED)
+        columns = {"g": CategoricalColumn(("p", "q"), np.arange(n) % 2),
+                   "x": NumericColumn(values)}
+        counted = _occupied_cells(columns, n)
+        with mock.patch.object(encode, "_counted_unique", lambda values: None):
+            by_sort = _occupied_cells(columns, n)
+        for got, want in zip(counted[0].values(), by_sort[0].values()):
+            if isinstance(want, CategoricalColumn):
+                assert got.codes.tolist() == want.codes.tolist()
+            else:
+                assert got.values.tobytes() == want.values.tobytes()
+        for got, want in zip(counted[1:], by_sort[1:]):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        if name != "nan":
+            column = _numeric_as_categorical(values)
+            levels, codes = np.unique(values, return_inverse=True)
+            assert column.levels == tuple(format_number(v) for v in levels)
+            assert np.array_equal(column.codes, codes)
 
 
 class TestProfileRow:
