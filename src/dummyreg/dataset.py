@@ -33,10 +33,10 @@ MISSING_TOKENS = ("", "NA")
 
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
 
-# Rows read_csv tokenizes before coding them column by column. A block
-# this small is freed before the cyclic collector promotes its row lists
-# to the oldest generation; with 1024 and 4096 rows, reading a 2e5-row
-# file took 1.3x and 1.6x as long (CPython 3.11).
+# Rows the strict reader codes at a time, and that the fast reader types
+# a column by. A block this small is freed before the cyclic collector
+# promotes its row lists to the oldest generation; with 1024 and 4096
+# rows, a 2e5-row file read 1.3x and 1.6x as slowly (CPython 3.11).
 _BLOCK_ROWS = 512
 
 # Characters of text that read_csv tokenizes at a time, rounded up to
@@ -278,11 +278,14 @@ class _Codebook:
         With strip, cells that strip to the same value are one value.
         """
         distinct: dict = {}
-        code_at_row = np.empty(len(self.rows), dtype=np.int64)
+        code_at_row = np.full(len(self.rows), -1, dtype=np.int64)
         for cell, row in self.first_row.items():
             value = cell.strip() if strip else cell
             code_at_row[row] = distinct.setdefault(value, len(distinct))
-        return list(distinct), code_at_row[np.frombuffer(self.rows, dtype=np.int64)]
+        codes = code_at_row[np.frombuffer(self.rows, dtype=np.int64)]
+        if codes.size and codes.min() < 0:
+            raise AssertionError("a row names no cell's first row")
+        return list(distinct), codes
 
 
 def _categorical(
@@ -421,9 +424,9 @@ def _read_fast(source: IO[str], schema: Schema) -> Dataset | None:
     None is returned, and the strict reader decides, when the text may
     tokenize differently under the csv module (a quote, CR, NUL, blank
     line, or a line longer than csv's field limit), when a row's width
-    or a header name is wrong, when there is no body, when a column
-    predicted numeric holds a non-number or a number read as ±inf, or
-    when the text is not UTF-8 or holds a lone surrogate.
+    or a header name is wrong, when there is no body, when a column read
+    as numbers holds a non-number past its first rows, or when the text
+    is not UTF-8 or holds a lone surrogate.
     """
     line_of = functools.partial(_line_of, source, source.tell())
     try:
@@ -450,11 +453,11 @@ def _read_body(source: IO[str], specs: list[ColumnSchema]) -> list | None:
     """Each column's codebook or its float64 values, or None.
 
     The text is read in chunks of whole lines, and each chunk is split
-    into fields as UTF-8 bytes. Column types are predicted from the first
-    rows. A column predicted numeric is parsed to float64 by _numbers;
-    every other column's cells go to a codebook as byte keys. A first
-    pass checks the characters and counts the lines, so that each float
-    column is allocated once, at its exact size, and returned whole.
+    into fields as UTF-8 bytes. A column that _read_as_numbers allows is
+    parsed to float64 by _numbers; every other column's cells go to a
+    codebook as byte keys, for _read_column to type. A first pass checks
+    the characters and counts the lines, so that each float column is
+    allocated once, at its exact size, and returned whole.
     """
     start, capacity, chunk = source.tell(), 0, ""
     for chunk in iter(functools.partial(source.read, _CHUNK_CHARS), ""):
@@ -480,9 +483,8 @@ def _read_body(source: IO[str], specs: list[ColumnSchema]) -> list | None:
         if end > capacity:
             return None
         if columns is None:
-            first = chunk.split("\n", _BLOCK_ROWS)[:min(_BLOCK_ROWS, lengths.shape[1])]
-            columns = [np.empty(capacity) if is_float else _Codebook()
-                       for is_float in _predict_numeric(first, specs)]
+            columns = [np.empty(capacity) if _read_as_numbers(spec, buf, at, size)
+                       else _Codebook() for spec, at, size in zip(specs, starts, lengths)]
         for column, at, size in zip(columns, starts, lengths):
             if isinstance(column, _Codebook):
                 column.add_keys(_byte_keys(buf, at, size))
@@ -492,9 +494,7 @@ def _read_body(source: IO[str], specs: list[ColumnSchema]) -> list | None:
                 return None
             column[n_rows:end] = values
         n_rows = end
-    if columns is None or n_rows != capacity:
-        return None
-    return columns
+    return columns if n_rows == capacity else None  # no body: 0 rows of 1 line
 
 
 def _plain(text: str) -> bool:
@@ -502,15 +502,14 @@ def _plain(text: str) -> bool:
     return not ('"' in text or "\r" in text or "\0" in text)
 
 
-def _predict_numeric(lines: list[str], specs: list[ColumnSchema]) -> list[bool]:
-    """Per column, whether every cell of these rows is a number; _fields
-    has checked that each row holds one cell per column."""
-    rows = [line.split(",") for line in lines]
-    return [
-        spec.kind != "categorical"
-        and all(_NUMBER_RE.match(row[j].strip()) for row in rows)
-        for j, spec in enumerate(specs)
-    ]
+def _read_as_numbers(spec: ColumnSchema, buf: np.ndarray, starts: np.ndarray,
+                     lengths: np.ndarray) -> bool:
+    """Whether a column's schema allows numbers and _numbers reads the
+    first _BLOCK_ROWS of these fields, not all missing, as numbers."""
+    if spec.kind == "categorical":
+        return False
+    head = _numbers(buf, starts[:_BLOCK_ROWS], lengths[:_BLOCK_ROWS])
+    return head is not None and not np.isnan(head).all()
 
 
 def _fields(raw: bytes, width: int) -> tuple | None:
@@ -563,8 +562,8 @@ def _string_keys(keys: np.ndarray) -> np.ndarray:
 
 def _numbers(buf: np.ndarray, starts: np.ndarray,
              lengths: np.ndarray) -> np.ndarray | None:
-    """A numeric column's fields as float64, each as _number reads it
-    stripped; None if one is not a number or is read as ±inf.
+    """A column's fields as float64, each as _number reads it stripped,
+    an overflow as ±inf; None if one is not a number.
 
     A field of a sign, digits and at most one dot is read, if it has at
     most _EXACT_DIGITS digits, as mantissa / 10**fraction_digits in one
@@ -605,7 +604,7 @@ def _numbers(buf: np.ndarray, starts: np.ndarray,
     cast = decimal[other]
     if not cast.all():
         cast[~cast] = _scientific(raw[:, other[~cast]])
-    with np.errstate(over="ignore"):  # an overflow reads as inf, tested below
+    with np.errstate(over="ignore"):  # an overflow reads as ±inf
         values[other[cast]] = _as_bytes(raw[:, other[cast]]).astype(np.float64)
     rest = other[~cast]
     if rest.size:
@@ -614,7 +613,7 @@ def _numbers(buf: np.ndarray, starts: np.ndarray,
         if None in numbers:
             return None
         values[rest] = np.array(numbers, dtype=np.float64)[codes.reshape(-1)]
-    return None if np.isinf(values[other]).any() else values
+    return values
 
 
 def _scientific(raw: np.ndarray) -> np.ndarray:
