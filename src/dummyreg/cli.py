@@ -26,7 +26,7 @@ from .errors import (
     UnknownFunction,
 )
 from .formula import SCHEMES, parse_formula
-from .report import format_value, render_json, render_text
+from .report import _json_number, format_value, render_json, render_text
 from .solve import fit, one_tailed_p, predict_mean
 
 _ENCODE_BLOCK_ROWS = 4096
@@ -236,7 +236,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         doc = {
             "response": design.response_name,
             "profile": profile,
-            "estimate": value,
+            "estimate": _json_number(value),
         }
         print(json.dumps(doc, indent=2, allow_nan=False))
     else:

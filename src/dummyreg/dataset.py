@@ -189,7 +189,14 @@ class Dataset:
 @dataclass(frozen=True)
 class ColumnSchema:
     kind: str  # "numeric" | "categorical" | "auto"
-    levels: tuple[str, ...] | None = None  # pins order when categorical
+    levels: tuple[str, ...] | None = None  # pins a categorical's order
+
+    def __post_init__(self):
+        if self.kind not in ("auto", "numeric", "categorical"):
+            raise ValueError(f"column kind {self.kind!r} is not 'auto', "
+                             "'numeric' or 'categorical'")
+        if self.levels is not None and self.kind != "categorical":
+            raise ValueError(f"levels pin a categorical column, not kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -422,15 +429,16 @@ def _read_fast(source: IO[str], schema: Schema) -> Dataset | None:
     reader.
 
     None is returned, and the strict reader decides, when the text may
-    tokenize differently under the csv module (a quote, CR, NUL, blank
-    line, or a line longer than csv's field limit), when a row's width
-    or a header name is wrong, when there is no body, when a column read
-    as numbers holds a non-number past its first rows, or when the text
-    is not UTF-8 or holds a lone surrogate.
+    tokenize differently under the csv module (a quote, a CR that does
+    not end a line as CRLF, a NUL, a blank line, or a line longer than
+    csv's field limit), when a row's width or a header name is wrong,
+    when there is no body, when a column read as numbers holds a
+    non-number past its first rows, or when the text is not UTF-8 or
+    holds a lone surrogate.
     """
     line_of = functools.partial(_line_of, source, source.tell())
     try:
-        header = source.readline()
+        header = source.readline().replace("\r\n", "\n")
         if not _plain(header) or len(header) > csv.field_size_limit():
             return None
         names = [cell.strip() for cell in header.removesuffix("\n").split(",")]
@@ -452,24 +460,21 @@ def _read_fast(source: IO[str], schema: Schema) -> Dataset | None:
 def _read_body(source: IO[str], specs: list[ColumnSchema]) -> list | None:
     """Each column's codebook or its float64 values, or None.
 
-    The text is read in chunks of whole lines, and each chunk is split
-    into fields as UTF-8 bytes. A column that _read_as_numbers allows is
-    parsed to float64 by _numbers; every other column's cells go to a
-    codebook as byte keys, for _read_column to type. A first pass checks
-    the characters and counts the lines, so that each float column is
-    allocated once, at its exact size, and returned whole.
+    The text is read once, in chunks of whole lines; a CRLF line end
+    reads as LF. Each chunk is split into fields as UTF-8 bytes. A column
+    that _read_as_numbers allows is parsed to float64 by _numbers into an
+    array that starts at the first chunk's rows and moves to one twice as
+    long when a chunk would overflow it; every other column's cells go to
+    a codebook as byte keys, for _read_column to type.
     """
-    start, capacity, chunk = source.tell(), 0, ""
-    for chunk in iter(functools.partial(source.read, _CHUNK_CHARS), ""):
-        if not _plain(chunk):
-            return None
-        capacity += chunk.count("\n")
-    capacity += not chunk.endswith("\n")  # an unterminated last line
-    source.seek(start)
     columns, n_rows = None, 0
     while chunk := source.read(_CHUNK_CHARS):
         if not chunk.endswith("\n"):
             chunk += source.readline()
+        if "\r" in chunk:  # a scan for one character, far faster than replace's
+            chunk = chunk.replace("\r\n", "\n")
+        if not _plain(chunk):
+            return None
         if not chunk.endswith("\n"):  # the unterminated last line
             chunk += "\n"
         try:
@@ -480,21 +485,29 @@ def _read_body(source: IO[str], specs: list[ColumnSchema]) -> list | None:
             return None
         buf, starts, lengths = fields
         end = n_rows + lengths.shape[1]
-        if end > capacity:
-            return None
         if columns is None:
-            columns = [np.empty(capacity) if _read_as_numbers(spec, buf, at, size)
+            columns = [np.empty(end) if _read_as_numbers(spec, buf, at, size)
                        else _Codebook() for spec, at, size in zip(specs, starts, lengths)]
-        for column, at, size in zip(columns, starts, lengths):
+        for i, (column, at, size) in enumerate(zip(columns, starts, lengths)):
             if isinstance(column, _Codebook):
                 column.add_keys(_byte_keys(buf, at, size))
                 continue
             values = _numbers(buf, at, size)
             if values is None:
                 return None
+            if end > column.size:
+                grown = np.empty(max(end, 2 * column.size))
+                grown[:n_rows] = column[:n_rows]
+                columns[i] = column = grown
             column[n_rows:end] = values
         n_rows = end
-    return columns if n_rows == capacity else None  # no body: 0 rows of 1 line
+    for column in columns or ():  # no chunk: no body
+        if not isinstance(column, _Codebook):
+            # Shrunk in place, so NumericColumn takes it without a copy.
+            # Only assignments through slices touched it, so no view of
+            # it is alive; refcheck would count this loop's own names.
+            column.resize(n_rows, refcheck=False)
+    return columns
 
 
 def _plain(text: str) -> bool:

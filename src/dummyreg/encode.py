@@ -594,26 +594,18 @@ def relevel(
     refs: Mapping[str, str] | None,
     variable: str,
     new_reference: str,
-    context: Dataset | DesignMatrix,
+    data: Dataset,
 ) -> dict[str, str]:
     """Return an updated reference map omitting, for variable, the level
     that new_reference names.
 
-    The context (dataset or prior design) supplies the level list as the
-    encoder sees it, so an unknown level is rejected up front.
+    The data supplies the level list as the encoder sees it, so an
+    unknown level is rejected up front.
     """
-    if isinstance(context, Dataset):
-        column = context[variable]
-        if not isinstance(column, CategoricalColumn):
-            column = _numeric_as_categorical(column.values)
-        levels = column.levels
-    else:
-        if context.info is None:
-            raise ValueError("design carries no encoder context")
-        if variable not in context.info.categoricals:
-            raise NotCategorical(variable)
-        levels = context.info.categoricals[variable].levels
-    return {**(refs or {}), variable: _level(variable, levels, new_reference)}
+    column = data[variable]
+    if not isinstance(column, CategoricalColumn):
+        column = _numeric_as_categorical(column.values)
+    return {**(refs or {}), variable: _level(variable, column.levels, new_reference)}
 
 
 def design_references(design: DesignMatrix) -> dict[str, str]:

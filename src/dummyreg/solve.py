@@ -379,8 +379,10 @@ def linear_combination(
     if w.shape != (fit_result.n_cols,):
         raise DimensionMismatch(w.shape[0] if w.ndim == 1 else w.shape,
                                 fit_result.n_cols)
-    estimate = float(w @ fit_result.coefficients)
-    tests = _t_tests([estimate], [w @ fit_result.cov @ w], fit_result.df_residual)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf
+        estimate = float(w @ fit_result.coefficients)
+        variance = w @ fit_result.cov @ w
+    tests = _t_tests([estimate], [variance], fit_result.df_residual)
     return LinearCombination(estimate, *(float(v[0]) for v in tests))
 
 

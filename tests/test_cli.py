@@ -338,6 +338,20 @@ class TestPredict:
         assert abs(doc["estimate"] - 23.87) < 1e-9
         assert doc["profile"] == {"female": "1", "edu": "high"}
 
+    def test_json_writes_an_overflowed_estimate_as_null(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("y,x\n1e300,1\n2e300,2\n3.1e300,3\n3.9e300,4\n5e300,5\n")
+        argv = ["predict", "--data", str(path), "--formula", "y ~ x", "--at", "x=1e10"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (0, "inf\n")
+        code, out, _ = run_cli(capsys, *argv, "--output", "json")
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        assert json.loads(out, parse_constant=reject)["estimate"] is None
+
     def test_incomplete_profile_is_data_error(self, capsys, crossed_csv):
         code, _, err = run_cli(
             capsys, "predict", "--data", crossed_csv,
