@@ -146,8 +146,14 @@ class DesignMatrix:
     @cached_property
     def cell_counts(self) -> np.ndarray:
         """Data rows per table row, read-only."""
-        counts = _bincount_blocks(self.cell_index, len(self.cell_table))
+        counts, _ = _bincount_blocks(self.cell_index, len(self.cell_table))
         return _seed(self, "cell_counts", counts)
+
+    @cached_property
+    def cell_sums(self) -> np.ndarray:
+        """The response's sum over each table row's data rows, read-only."""
+        _, sums = _bincount_blocks(self.cell_index, len(self.cell_table), self.response)
+        return _seed(self, "cell_sums", sums)
 
     @property
     def n_rows(self) -> int:
@@ -399,24 +405,29 @@ def _row_blocks(n: int, step: int = _ROW_BLOCK):
     return (slice(start, start + step) for start in range(0, n, step))
 
 
-def _bincount_blocks(index: np.ndarray, m: int,
-                     weights: np.ndarray | None = None) -> np.ndarray:
-    """np.bincount(index, weights, minlength=m), taken over slices of
-    max(_ROW_BLOCK, m) rows and added in block order.
+def _bincount_blocks(index: np.ndarray, m: int, weights: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray | None]:
+    """np.bincount(index, minlength=m) and, given weights,
+    np.bincount(index, weights, minlength=m), else None: both taken over
+    slices of max(_ROW_BLOCK, m) rows, from one intp copy of each slice
+    of the index, and added in block order.
 
     np.bincount copies an index that is read-only or not intp, and
     read-only weights, whole; a block's copy stays in cache. On 1e6 rows
     of an int8 index and read-only weights, blocks took 3.6 ms against
-    6.4 ms (numpy 2.4). A block is never shorter than m, so adding up
-    the blocks' m-row sums costs O(n), and m >= n is one whole
+    6.4 ms for the sums (numpy 2.4). A block is never shorter than m, so
+    adding up the blocks' m-row sums costs O(n), and m >= n is one whole
     np.bincount. Summed by blocks, the error of a weighted sum grows
     with the block count and length, not with n.
     """
-    total = np.zeros(m, dtype=np.intp if weights is None else np.float64)
+    counts = np.zeros(m, dtype=np.intp)
+    sums = None if weights is None else np.zeros(m)
     for rows in _row_blocks(len(index), max(_ROW_BLOCK, m)):
-        total += np.bincount(index[rows], None if weights is None else weights[rows],
-                             minlength=m)
-    return total
+        block = index[rows].astype(np.intp)
+        counts += np.bincount(block, minlength=m)
+        if sums is not None:
+            sums += np.bincount(block, weights[rows], minlength=m)
+    return counts, sums
 
 
 def _counted_unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -441,29 +452,31 @@ def _counted_unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return occupied + low, lookup.take(offsets)
 
 
-def _compact(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+def _compact(key: np.ndarray, size: int, weights: np.ndarray | None = None
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Renumber keys in [0, size) to the m occupied ones, in ascending
-    order, in place when counting; returns the new keys and the m keys'
-    row counts. Keys that occupy all of [0, size) are returned as they
-    are, and a read-only key (a column's own codes) is never written."""
+    order, in place when counting; returns the new keys, the m keys'
+    row counts and, given n weights, their sums when counting, else
+    None. Keys that occupy all of [0, size) are returned as they are,
+    and a read-only key (a column's own codes) is never written."""
     if size > _KEY_SPAN * key.size:
         _, key, counts = np.unique(key, return_inverse=True, return_counts=True)
-        return key.reshape(-1), counts
-    counts = _bincount_blocks(key, size)
+        return key.reshape(-1), counts, None
+    counts, sums = _bincount_blocks(key, size, weights)
     if counts.all():
-        return key, counts
+        return key, counts, sums
     occupied = np.flatnonzero(counts)
     lookup = np.empty(size, dtype=_code_dtype(occupied.size))
     lookup[occupied] = np.arange(occupied.size)
     out = key if key.flags.writeable else np.empty(key.size, dtype=lookup.dtype)
     for rows in _row_blocks(key.size):  # take on an intp index, as fit reads
         out[rows] = lookup.take(key[rows].astype(np.intp))
-    return out, counts[occupied]
+    return out, counts[occupied], None if sums is None else sums[occupied]
 
 
 def _occupied_cells(
-    columns: Mapping[str, Column], n: int
-) -> tuple[Mapping[str, Column], np.ndarray, np.ndarray]:
+    columns: Mapping[str, Column], response: np.ndarray
+) -> tuple[Mapping[str, Column], np.ndarray, np.ndarray, np.ndarray | None]:
     """The rows to encode, one per occupied covariate pattern.
 
     ``columns`` holds every formula variable as the encoder reads it
@@ -479,10 +492,13 @@ def _occupied_cells(
     and narrow in range (_counted_unique), else by sorting. Returns the
     columns to encode (each pattern's values, from one of its rows), the
     n-row pattern index, in the narrowest integer type that holds m (as
-    categorical codes are), and the m patterns' row counts; a numeric
-    column of n distinct values gives the columns as given and
-    arange(n).
+    categorical codes are), the m patterns' row counts and the sums of
+    the n-row ``response`` over each pattern, taken in the pass that
+    counts the patterns (None when they are numbered by sorting); a
+    numeric column of n distinct values gives the columns as given,
+    arange(n) and the response itself.
     """
+    n = response.size
     key, size = None, 1
     for column in columns.values():
         if isinstance(column, CategoricalColumn):
@@ -493,12 +509,12 @@ def _occupied_cells(
             digit, k = digit.reshape(-1), distinct.size
             if k == n:
                 return (columns, np.arange(n, dtype=_code_dtype(n)),
-                        np.ones(n, dtype=np.intp))
+                        np.ones(n, dtype=np.intp), response)
         if size == 1:  # a key of one value folds to the digit itself
             key, size = digit, k
             continue
         if size * k > _KEY_SPAN * n:
-            key, counts = _compact(key, size)
+            key, counts, _ = _compact(key, size)
             size = counts.size
         dtype = np.result_type(key.dtype, digit.dtype, _code_dtype(size * k))
         if key.flags.writeable and key.dtype == dtype:
@@ -507,7 +523,7 @@ def _occupied_cells(
             key = np.multiply(key, k, dtype=dtype)
         key += digit
         size *= k
-    key, counts = _compact(key, size)
+    key, counts, sums = _compact(key, size, response)
     m = counts.size
     key = key.astype(_code_dtype(m), copy=False)
     # Any row of a pattern stands for all. The scan stops once every
@@ -528,7 +544,7 @@ def _occupied_cells(
             patterns[name] = CategoricalColumn(column.levels, column.codes[first])
         else:
             patterns[name] = NumericColumn(column.values[first])
-    return patterns, key, counts
+    return patterns, key, counts, sums
 
 
 def build_design(
@@ -567,7 +583,7 @@ def build_design(
     for name in refs:
         if name in ast.variables() and name not in categoricals:
             raise NotCategorical(name)
-    columns, cell, counts = _occupied_cells(columns, data.n_rows)
+    columns, cell, counts, sums = _occupied_cells(columns, response_col.values)
     for term in ast.terms:
         if term.kind != "interaction":
             continue
@@ -587,6 +603,8 @@ def build_design(
     design = DesignMatrix(table, labels, response_col.values, ast.response, info,
                           cell_index=cell)
     _seed(design, "cell_counts", counts)
+    if sums is not None:
+        _seed(design, "cell_sums", sums)
     return design
 
 

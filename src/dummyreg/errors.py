@@ -135,6 +135,14 @@ class NonFiniteValue(DummyregError):
             f"variable {name!r} has a non-finite value ({_data_row(row, line)})")
 
 
+class ResponseOverflow(DummyregError):
+    """The response's values are finite, but their sum is not."""
+
+    def __init__(self, name: str):
+        self.name = name
+        super().__init__(f"the sum of response {name!r} overflows; rescale it")
+
+
 class UnknownLevel(DummyregError):
     def __init__(self, variable: str, level: str):
         self.variable = variable

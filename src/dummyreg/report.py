@@ -11,7 +11,6 @@ output is full precision with a stable key order.
 from __future__ import annotations
 
 import math
-from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import Mapping
 
 from .solve import FitResult, one_tailed_p
@@ -20,22 +19,32 @@ P_DISPLAY_FLOOR = 0.01
 
 
 def format_value(value: float, places: int = 2) -> str:
-    """Fixed-point text, ties away from zero, no leading zero below 1."""
+    """Fixed-point text, ties away from zero, no leading zero below 1.
+
+    The digits rounded are those of repr(value), the shortest text that
+    reads back as the value, so 2.675 reads "2.68" though the float is
+    below 2.675.
+    """
     if places < 0:
         raise ValueError(f"places must be >= 0, got {places}")
     value = float(value)
     if not math.isfinite(value):
         return str(value)
-    exact = Decimal(repr(value))
-    # Precise enough for every digit of the result, one more for a carry.
-    context = Context(prec=max(exact.adjusted(), 0) + places + 2)
-    quantum = Decimal(1).scaleb(-places)
-    text = f"{exact.quantize(quantum, rounding=ROUND_HALF_UP, context=context):f}"
-    if text.startswith("0."):
-        return text[1:]
-    if text.startswith("-0."):
-        return "-" + text[2:]
-    return text
+    text = repr(value)
+    sign, text = ("-", text[1:]) if text.startswith("-") else ("", text)
+    mantissa, _, exponent = text.partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = whole + fraction
+    # The value times 10**places is digits[:cut], then a fraction that
+    # starts with the digit at cut.
+    cut = len(whole) + int(exponent or 0) + places
+    head, up = (digits[:cut], digits[cut:cut + 1] >= "5") if cut >= 0 else ("", False)
+    scaled = str(int(head or "0") + up) + "0" * (cut - len(head))
+    scaled = scaled.rjust(places + 1, "0")
+    if not places:
+        return sign + scaled
+    integer = scaled[:-places]
+    return f"{sign}{'' if integer == '0' else integer}.{scaled[-places:]}"
 
 
 def format_p(p: float, places: int = 2) -> str:

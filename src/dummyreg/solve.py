@@ -1,12 +1,12 @@
 """Ordinary least squares with rank checking and Student-t inference.
 
 Estimation reduces [X | y] to the R factor of its QR factorization and
-back-substitutes, never forming Q or a normal-equations inverse, with
-numpy alone. Exact collinearity (the dummy variable trap), found by a
-formula-order scan of R's columns at unit norm, is a hard error naming
-the dependent columns. P-values come from the Student-t tail, built on a
-self-contained regularized incomplete beta function; an independent
-quadrature oracle lives in the oracle module.
+solves with it, never forming Q or a normal-equations inverse, with
+numpy's LAPACK calls alone. Exact collinearity (the dummy variable
+trap), found by factoring R's columns at unit norm in formula order, is
+a hard error naming the dependent columns. P-values come from the
+Student-t tail, built on a self-contained regularized incomplete beta
+function; an independent quadrature oracle lives in the oracle module.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import _first_row, _frozen, _seed
-from .encode import DesignMatrix, _bincount_blocks, _row_blocks, profile_row
+from .encode import DesignMatrix, _row_blocks, profile_row
 from .errors import (
     DimensionMismatch,
     NonFiniteValue,
     RankDeficient,
+    ResponseOverflow,
     TooFewRows,
     UnknownLabel,
 )
@@ -39,8 +40,10 @@ _SQUARES_FLOOR = 2.0 ** -900
 @dataclass(frozen=True)
 class FitResult:
     """What a fit solved: its design, the read-only (p+1)-square R factor
-    of [X | y], RSS and R^2. Every estimate, test and fitted value is
-    made from these on first read, and kept read-only."""
+    of [X | y] over the n rows, RSS and R^2. Every estimate, test and
+    fitted value is made from these on first read, and kept read-only.
+    sigma is read from r[p, p], the residual norm, which stays finite
+    and nonzero where RSS, its square, overflows or underflows."""
 
     design: DesignMatrix
     r: np.ndarray
@@ -57,22 +60,29 @@ class FitResult:
     n_cols = property(lambda self: self.design.n_cols)
     df_residual = property(lambda self: self.design.n_rows - self.design.n_cols)
     sigma2 = property(lambda self: self.rss / self.df_residual)
+    sigma = property(lambda self: abs(float(self.r[-1, -1])) / math.sqrt(self.df_residual))
 
     @cached_property
     def coefficients(self) -> np.ndarray:
         p = self.n_cols
-        return _seed(self, "coefficients", _back_substitute(self.r[:p, :p], self.r[:p, p]))
+        return _seed(self, "coefficients", np.linalg.solve(self.r[:p, :p], self.r[:p, p]))
+
+    @cached_property
+    def _unscaled_cov(self) -> np.ndarray:
+        """(X'X)^-1 = R^-1 R^-T, the covariance over sigma^2."""
+        p = self.n_cols
+        r_inv = np.linalg.solve(self.r[:p, :p], np.eye(p))
+        return _seed(self, "_unscaled_cov", r_inv @ r_inv.T)
 
     @cached_property
     def cov(self) -> np.ndarray:
-        p = self.n_cols
-        r_inv = _back_substitute(self.r[:p, :p], np.eye(p))
-        return _seed(self, "cov", self.sigma2 * (r_inv @ r_inv.T))
+        return _seed(self, "cov", self.sigma2 * self._unscaled_cov)
 
     @cached_property
     def _tests(self) -> tuple[np.ndarray, ...]:
         """SE, t and two-tailed p of each coefficient, read-only."""
-        tests = _t_tests(self.coefficients, np.diag(self.cov), self.df_residual)
+        tests = _t_tests(self.coefficients, self.sigma, np.diag(self._unscaled_cov),
+                         self.df_residual)
         for values in tests:
             values.flags.writeable = False
         return tests
@@ -107,30 +117,21 @@ class FitResult:
         raise UnknownLabel(label)
 
 
-def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve r x = b for an upper-triangular r; b is a vector or a matrix."""
-    x = np.array(b, dtype=np.float64)
-    for i in range(len(r) - 1, -1, -1):
-        x[i] -= r[i, i + 1:] @ x[i + 1:]
-        x[i] /= r[i, i]
-    return x
-
-
-def _dependent_in_order(a: np.ndarray, tol: float) -> list[int]:
-    """Columns of a that lie in the span of the earlier columns kept,
-    scanned left to right: those whose remainder after projecting out
-    the kept columns (twice, for orthogonality) is shorter than tol."""
-    basis = np.empty((a.shape[0], 0))
+def _dependent_in_order(unit: np.ndarray, tol: float) -> list[int]:
+    """Columns of unit (each of unit norm, or zero; more rows than
+    columns) closer than tol to the span of the earlier columns kept, in
+    order. The R factor of the kept columns holds on its diagonal each
+    one's distance from the span of those before it, so each factoring
+    drops the first column below tol: a matrix of full rank costs one
+    LAPACK QR. A NaN distance is not below tol."""
+    kept = list(range(unit.shape[1]))
     dependent = []
-    for j in range(a.shape[1]):
-        w = a[:, j]
-        for _ in range(2):
-            w = w - basis @ (basis.T @ w)
-        norm = math.sqrt(w @ w)
-        if norm < tol:
-            dependent.append(j)
-        else:
-            basis = np.column_stack([basis, w / norm])
+    while kept:
+        distance = np.abs(np.diagonal(np.linalg.qr(unit[:, kept], mode="r")))
+        below = np.flatnonzero(distance < tol)
+        if not below.size:
+            break
+        dependent.append(kept.pop(int(below[0])))
     return dependent
 
 
@@ -140,33 +141,40 @@ def fit(design: DesignMatrix) -> FitResult:
     The design is solved from per-pattern sufficient statistics: the
     rows of ``sqrt(count) * [table row | pattern mean]`` have the same
     normal equations as the n x p problem, and are its rows when each
-    pattern has one row. That matrix is reduced to its (p+1)-square R
-    factor without forming Q; the coefficients and their covariance come
-    from back-substitution in R. The rank test scans R's columns, scaled to
-    unit norm, in formula order: a column closer than RANK_TOL to the
-    span of the earlier columns kept is dependent, whatever its scale.
-    RSS and the total sum of squares, about the mean that the pattern
-    sums give, come from one more pass over the n rows, which writes no
-    n-row array. A non-finite table value or pattern mean raises
+    pattern has one row. The pattern sums are the design's cell_sums.
+    That matrix is reduced to its (p+1)-square R factor without forming
+    Q, and the coefficients come from a LAPACK solve with R. The rank
+    test factors R's columns, scaled to unit norm, in formula order: a
+    column closer than RANK_TOL to the span of the earlier columns kept
+    is dependent, whatever its scale. RSS and the total sum of squares,
+    about the mean that the pattern sums give, come from one pass over
+    the n rows, which writes no n-row array; r[p, p] becomes the
+    residual norm. A non-finite table value or response value raises
     NonFiniteValue, naming the first data row on that table row, or the
-    table row itself when no data row uses it.
+    table row itself when no data row uses it; a finite response whose
+    sum overflows raises ResponseOverflow.
     """
     table, cell, y = design.cell_table, design.cell_index, design.response
     n, p = design.n_rows, design.n_cols
     if n <= p:
         raise TooFewRows(n, p)
 
-    counts = design.cell_counts
+    counts, sums = design.cell_counts, design.cell_sums
+    total = float(sums.sum())
+    if not math.isfinite(total):
+        finite = np.isfinite(y)
+        if finite.all():
+            raise ResponseOverflow(design.response_name)
+        bad = np.zeros(len(table), dtype=bool)
+        bad[cell[~finite]] = True
+        raise NonFiniteValue(design.response_name, _first_row(bad, cell))
+    if not np.isfinite(table).all():
+        j = int(np.argmax(~np.isfinite(table).all(axis=0)))
+        bad = ~np.isfinite(table[:, j])
+        raise NonFiniteValue(design.labels[j].text, _first_row(bad, cell))
     weight = np.sqrt(counts)
     # A table row that no data row uses gets weight 0, not 0/0.
-    sums = _bincount_blocks(cell, len(table), weights=y)
     target = sums / np.maximum(counts, 1)
-    if not (np.isfinite(target).all() and np.isfinite(table).all()):
-        name, bad = design.response_name, ~np.isfinite(target)
-        if not bad.any():
-            j = int(np.argmax(~np.isfinite(table).all(axis=0)))
-            name, bad = design.labels[j].text, ~np.isfinite(table[:, j])
-        raise NonFiniteValue(name, _first_row(bad, cell))
     # R is carried from block to block, so no temporary outgrows a block.
     top = np.zeros((0, p + 1))
     for start in range(0, len(table), _QR_BLOCK_ROWS):
@@ -180,21 +188,24 @@ def fit(design: DesignMatrix) -> FitResult:
     dependent = _dependent_in_order(unit, RANK_TOL)
     if dependent:
         raise RankDeficient([design.labels[j].text for j in dependent])
-    coefficients = _back_substitute(r[:p, :p], r[:p, p])
+    coefficients = np.linalg.solve(r[:p, :p], r[:p, p])
 
     cell_fitted = table @ coefficients
-    mean = float(sums.sum()) / n
+    mean = total / n
     rss, tss = _sums_of_squares(y, cell, cell_fitted, mean)
 
-    # R^2 from y scaled, exactly, to about unit size, when TSS may hold
-    # squares that underflowed or overflowed.
-    if not _SQUARES_FLOOR <= tss < math.inf:
+    # Both sums again from y scaled, exactly, to about unit size, when
+    # either may hold squares that underflowed or overflowed; the shift
+    # is taken back out of RSS and of r[p, p], its square root.
+    shift = 0
+    if not (_SQUARES_FLOOR <= rss < math.inf and _SQUARES_FLOOR <= tss < math.inf):
         largest = max(abs(float(y.min())), abs(float(y.max())))
-        rss_unit, tss = _sums_of_squares(y, cell, cell_fitted, mean,
-                                         shift=-math.frexp(largest)[1])
-    else:
-        rss_unit = rss
-    r_squared = 0.0 if tss == 0 else min(max(1.0 - rss_unit / tss, 0.0), 1.0)
+        shift = -math.frexp(largest)[1]
+        rss, tss = _sums_of_squares(y, cell, cell_fitted, mean, shift=shift)
+    r_squared = 0.0 if tss == 0 else min(max(1.0 - rss / tss, 0.0), 1.0)
+    with np.errstate(over="ignore", under="ignore"):
+        r[p, p] = np.ldexp(math.sqrt(rss), -shift)
+        rss = float(np.ldexp(rss, -2 * shift))
 
     result = FitResult(design, r, rss, r_squared)
     # The RSS pass needed these; the result would derive the same arrays.
@@ -340,11 +351,15 @@ def student_t_cdf(t: float, df: int) -> float:
     return 1.0 - tail if t > 0 else tail
 
 
-def _t_tests(estimates, variances, df: int) -> tuple[np.ndarray, ...]:
-    """SE, t and two-tailed p of each estimate, a negative variance read
-    as 0. At SE 0, t is +0.0 if the estimate == 0 (-0.0 too), else +-inf."""
+def _t_tests(estimates, sigma: float, unscaled_variances,
+             df: int) -> tuple[np.ndarray, ...]:
+    """SE, t and two-tailed p of each estimate, its SE sigma times the
+    root of its variance over sigma^2, a negative one read as 0, so that
+    no SE is squared. At SE 0, t is +0.0 if the estimate == 0 (-0.0
+    too), else +-inf."""
     estimates = np.asarray(estimates, dtype=np.float64)
-    stderr = np.sqrt(np.maximum(variances, 0.0))
+    with np.errstate(over="ignore"):  # an overflow is inf
+        stderr = sigma * np.sqrt(np.maximum(unscaled_variances, 0.0))
     at_zero = np.where(estimates == 0.0, 0.0, np.copysign(np.inf, estimates))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_values = np.where(stderr == 0.0, at_zero, estimates / stderr)
@@ -381,8 +396,8 @@ def linear_combination(
                                 fit_result.n_cols)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf
         estimate = float(w @ fit_result.coefficients)
-        variance = w @ fit_result.cov @ w
-    tests = _t_tests([estimate], [variance], fit_result.df_residual)
+        variance = w @ fit_result._unscaled_cov @ w
+    tests = _t_tests([estimate], fit_result.sigma, [variance], fit_result.df_residual)
     return LinearCombination(estimate, *(float(v[0]) for v in tests))
 
 

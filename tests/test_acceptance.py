@@ -127,10 +127,11 @@ def test_07_t_cdf_accuracy():
 
 
 def test_08_one_tailed_halving():
-    # Coefficients (10, -1.3), each with SE 1 at df 10.
+    # Coefficients (10, -1.3), each with SE 1 at df 10: an identity R
+    # and a residual norm of sqrt(10), the root of RSS.
     design = DesignMatrix(np.column_stack([np.ones(12), np.arange(12) % 2]),
                           simple_labels(["a", "b"]), np.zeros(12))
-    r = [[1.0, 0.0, 10.0], [0.0, 1.0, -1.3], [0.0, 0.0, 0.0]]
+    r = [[1.0, 0.0, 10.0], [0.0, 1.0, -1.3], [0.0, 0.0, np.sqrt(10.0)]]
     result = FitResult(design, r, rss=10.0, r_squared=0.5)
     p_two = two_tailed_p(1.3, 10)
     err = abs(one_tailed_p(result, "b", "less") - p_two / 2)

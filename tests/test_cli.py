@@ -93,7 +93,8 @@ class TestFit:
 
     def test_json_writes_an_overflowed_statistic_as_null(self, capsys, tmp_path):
         # With y scaled by 2**510 the coefficients and R^2 are finite, but
-        # RSS overflows, and with it sigma^2 and every SE.
+        # RSS overflows, and with it sigma^2. The SEs, read from the
+        # residual norm, stay finite.
         rng = np.random.default_rng(0)
         g = np.array(["a", "b"])[rng.integers(0, 2, 50)]
         y = np.ldexp(rng.normal(size=50) + (g == "b"), 510)
@@ -108,8 +109,8 @@ class TestFit:
 
         doc = json.loads(out, parse_constant=reject)
         assert doc["rss"] is None and doc["sigma2"] is None
-        assert [c["stderr"] for c in doc["coefficients"]] == [None, None]
-        assert all(np.isfinite(c["estimate"]) for c in doc["coefficients"])
+        assert all(np.isfinite(c[key]) for c in doc["coefficients"]
+                   for key in ("estimate", "stderr", "t"))
         assert 0 < doc["r_squared"] < 1
 
     def test_refs_flag_changes_reference(self, capsys, education_csv):
@@ -539,6 +540,15 @@ class TestExitCodes:
             capsys, "fit", "--data", str(path), "--formula", "y ~ x")
         assert (code, out) == (3, "")
         assert err == f"error: variable {name!r} has a non-finite value (line 4)\n"
+
+    def test_finite_response_whose_sum_overflows(self, capsys, tmp_path):
+        # Every value is finite; the sum of the three a rows is not.
+        path = tmp_path / "huge.csv"
+        path.write_text("y,g\n1e308,a\n1.5e308,a\n1e308,b\n-1e308,b\n1.2e308,a\n")
+        code, out, err = run_cli(
+            capsys, "fit", "--data", str(path), "--formula", "y ~ g")
+        assert (code, out) == (3, "")
+        assert err == "error: the sum of response 'y' overflows; rescale it\n"
 
     # Each error names the CSV line its row starts on: not the row among
     # those kept after listwise deletion, and counting each line of a

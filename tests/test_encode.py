@@ -453,11 +453,11 @@ class TestDesignMatrix:
         index = rng.integers(0, m, 2 * m + _ROW_BLOCK + 3)
         weights = rng.integers(-8, 8, index.size).astype(np.float64)
         index.flags.writeable = weights.flags.writeable = False
-        counts = _bincount_blocks(index, m)
+        counts, sums = _bincount_blocks(index, m, weights)
         assert counts.dtype == np.intp
         assert np.array_equal(counts, np.bincount(index, minlength=m))
-        assert np.array_equal(_bincount_blocks(index, m, weights),
-                              np.bincount(index, weights, minlength=m))
+        assert np.array_equal(sums, np.bincount(index, weights, minlength=m))
+        assert _bincount_blocks(index, m)[1] is None
 
     def test_a_crossing_of_60_patterns_gets_an_int8_index(self):
         rng = np.random.default_rng(0)
@@ -470,6 +470,36 @@ class TestDesignMatrix:
         assert design.cell_index.dtype == np.int8
         expected = (data["a"].codes * 4 + data["b"].codes) * 3 + data["c"].codes
         assert np.array_equal(design.cell_index, expected)
+
+    @pytest.mark.parametrize("case, seeded", [
+        ("counted", True), ("compacted", True), ("sorted", False), ("distinct", True),
+    ])
+    def test_cell_sums_are_the_response_summed_by_pattern(self, case, seeded):
+        # Each way build_design numbers the patterns: counting a key that
+        # fills its range, counting one with unoccupied keys, sorting a
+        # key wider than 4n (whose sums are made on first read), and the
+        # identity index of n distinct values.
+        rng = np.random.default_rng(1)
+        n = 1000
+        a = rng.integers(0, 4, n)
+        x = {"counted": rng.integers(0, 3, n), "compacted": (a + rng.integers(0, 2, n)) % 4,
+             "sorted": rng.integers(0, 900, n), "distinct": rng.permutation(n)}[case]
+        data = Dataset({"y": numeric_column(rng.normal(size=n)),
+                        "a": CategoricalColumn(tuple("pqrs"), a),
+                        "b": CategoricalColumn(tuple("0123456789"), rng.integers(0, 10, n)),
+                        "x": numeric_column(x + 0.5)})
+        formula = "y ~ a*cat(x)" if case == "compacted" else "y ~ a + b + x"
+        design = build_design(parse_formula(formula), data)
+        assert ("cell_sums" in design.__dict__) == seeded
+        m = len(design.cell_table)
+        expected = np.bincount(design.cell_index, design.response, minlength=m)
+        assert np.array_equal(design.cell_sums, expected)
+        assert not design.cell_sums.flags.writeable
+        if case == "compacted":
+            assert m < 16
+        hand_built = DesignMatrix(design.cell_table, design.labels, design.response,
+                                  cell_index=design.cell_index)
+        assert np.array_equal(hand_built.cell_sums, expected)
 
 
 class TestRelevel:
@@ -663,9 +693,10 @@ class TestCountedKeys:
         assert (_counted_unique(values) is not None) == (name in self.COUNTED)
         columns = {"g": CategoricalColumn(("p", "q"), np.arange(n) % 2),
                    "x": NumericColumn(values)}
-        counted = _occupied_cells(columns, n)
+        y = np.linspace(-1.0, 2.0, n)
+        counted = _occupied_cells(columns, y)
         with mock.patch.object(encode, "_counted_unique", lambda values: None):
-            by_sort = _occupied_cells(columns, n)
+            by_sort = _occupied_cells(columns, y)
         for got, want in zip(counted[0].values(), by_sort[0].values()):
             if isinstance(want, CategoricalColumn):
                 assert got.codes.tolist() == want.codes.tolist()
@@ -673,6 +704,7 @@ class TestCountedKeys:
                 assert got.values.tobytes() == want.values.tobytes()
         for got, want in zip(counted[1:], by_sort[1:]):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(counted[3], np.bincount(counted[1], y))
         if name != "nan":
             column = _numeric_as_categorical(values)
             levels, codes = np.unique(values, return_inverse=True)
@@ -1017,13 +1049,16 @@ class TestPatternKey:
             columns = {name: columns[name] for name in names}
         before = {name: np.array(c.codes) for name, c in columns.items()
                   if isinstance(c, CategoricalColumn)}
-        patterns, index, counts = _occupied_cells(columns, self.N)
+        y = rng.normal(size=self.N)
+        patterns, index, counts, sums = _occupied_cells(columns, y)
         digits = pattern_digits(columns)
         unique, inverse, expected = np.unique(digits, axis=1, return_inverse=True,
                                               return_counts=True)
         assert index.dtype == _code_dtype(len(counts))
         assert np.array_equal(index, inverse.reshape(-1))
         assert np.array_equal(counts, expected)
+        # None when the key was numbered by sorting.
+        assert sums is None or np.array_equal(sums, np.bincount(index, y))
         assert np.array_equal(pattern_digits(patterns), unique)
         for name, codes in before.items():
             assert np.array_equal(columns[name].codes, codes)

@@ -2,6 +2,9 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,7 @@ from dummyreg import (
     synthesize,
 )
 
-from util import interaction_design, load_spec
+from util import interaction_design, load_spec, reference_format_value
 
 
 class TestFormatValue:
@@ -64,6 +67,33 @@ class TestFormatValue:
         text = format_value(value)
         assert not text.startswith("0.") and not text.startswith("-0.")
         assert abs(float(text) - value) <= 0.005 + 1e-12
+
+
+class TestFormatValueReference:
+    """format_value rounds repr(value) as a string, byte for byte as the
+    decimal module quantizes it."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.integers(min_value=0, max_value=12))
+    def test_matches_decimal_on_every_finite_float(self, value, places):
+        assert format_value(value, places) == reference_format_value(value, places)
+
+    @pytest.mark.parametrize("value", [
+        0.125, 2.675, -9.995, 0.5, -0.5, 9.5, 0.0005, 99.995, 1e-05, -1e-05,
+        1e+20, -1e+20, 1.5e+16, 1e-4, 5e-324, -5e-324, 2.2250738585072014e-308,
+        1.7976931348623157e+308, 0.0, -0.0, 123456.789, 0.045, 1e16, 9.999999999999999e22,
+    ])
+    @pytest.mark.parametrize("places", range(13))
+    def test_matches_decimal_on_ties_and_exponent_forms(self, value, places):
+        assert format_value(value, places) == reference_format_value(value, places)
+
+    def test_the_cli_does_not_import_decimal(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import sys, dummyreg.cli; print('decimal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env={"PYTHONPATH": str(src)})
+        assert out.stdout == "False\n"
 
 
 class TestFormatP:

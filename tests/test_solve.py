@@ -35,16 +35,23 @@ from dummyreg import (
 from dummyreg.dataset import _code_dtype
 from dummyreg.encode import _ROW_BLOCK
 from dummyreg.formula import SCHEMES
-from dummyreg.solve import RANK_TOL, two_tailed_p
+from dummyreg.solve import RANK_TOL, _dependent_in_order, two_tailed_p
 from dummyreg.errors import (
     DimensionMismatch,
     NonFiniteValue,
     RankDeficient,
+    ResponseOverflow,
     TooFewRows,
     UnknownLabel,
 )
 from dummyreg.solve import FitResult
-from util import exact_ols, interaction_design, random_one_factor
+from util import (
+    exact_ols,
+    interaction_design,
+    random_one_factor,
+    reference_back_substitute,
+    reference_dependent_in_order,
+)
 
 
 def two_group_design():
@@ -657,6 +664,20 @@ class TestNonFinite:
             fit(design)
         assert (exc.value.name, exc.value.row) == ("y", 3)
 
+    def test_a_sum_that_overflows_is_not_a_non_finite_value(self):
+        table = np.array([[1.0, 0.0], [1.0, 1.0]])
+        index = np.array([0, 0, 1, 1, 1])
+        labels = simple_labels(["(i)", "d"])
+        y = np.array([1e308, 1e308, 1.0, 2.0, 3.0])
+        with pytest.raises(ResponseOverflow) as exc:
+            fit(DesignMatrix(table, labels, y, cell_index=index))
+        assert exc.value.name == "y"
+        y = y.copy()  # the design froze y
+        y[3] = np.nan  # named, on its pattern's first row, though a sum overflows
+        with pytest.raises(NonFiniteValue) as exc:
+            fit(DesignMatrix(table, labels, y, cell_index=index))
+        assert (exc.value.name, exc.value.row) == ("y", 2)
+
     def test_unused_table_row_is_named_itself(self):
         table = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, np.nan], [1.0, 2.0]])
         index = np.array([0, 1, 3, 0, 1, 3])
@@ -825,6 +846,104 @@ class TestRankTest:
         assert exc.value.labels == ("h[b]", "h[c]")
 
 
+@st.composite
+def rank_cases(draw):
+    """A 30-row design built a column at a time after an intercept:
+    every dummy of a factor (with the intercept, the trap), draws, draws
+    scaled by 1e12, zeros, and copies, 1e12-scaled copies and sums of
+    earlier columns, so that dependent columns can follow one another."""
+    n = 30
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = [np.ones(n)]
+    kinds = ["factor", "draw", "big", "zero", "copy", "scaled", "sum"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=8)):
+        earlier = st.integers(0, len(columns) - 1)
+        if kind == "factor":
+            k = draw(st.integers(2, 4))
+            codes = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+            columns += list(np.eye(k)[codes].T)
+        elif kind in ("draw", "big"):
+            columns.append(rng.normal(size=n) * (1e12 if kind == "big" else 1.0))
+        elif kind == "zero":
+            columns.append(np.zeros(n))
+        elif kind in ("copy", "scaled"):
+            columns.append(columns[draw(earlier)] * (1e12 if kind == "scaled" else 1.0))
+        else:
+            columns.append(columns[draw(earlier)] + columns[draw(earlier)])
+    return np.column_stack(columns[:n - 2]), rng.normal(size=n)
+
+
+def unit_r_columns(x):
+    """The columns of x's R factor, padded to one more row than columns
+    as fit's is, each scaled to unit norm (a zero column stays zero)."""
+    r = np.zeros((x.shape[1] + 1, x.shape[1]))
+    top = np.linalg.qr(x, mode="r")
+    r[:len(top)] = top
+    norms = np.linalg.norm(r, axis=0)
+    return r / np.where(norms > 0.0, norms, 1.0)
+
+
+class TestAgainstReferences:
+    """The LAPACK rank test and solves against the Gram-Schmidt scan and
+    the back-substitution they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rank_cases())
+    def test_rank_test_names_the_columns_the_scan_names(self, case):
+        x, y = case
+        unit = unit_r_columns(x)
+        expected = reference_dependent_in_order(unit, RANK_TOL)
+        assert _dependent_in_order(unit, RANK_TOL) == expected
+        labels = simple_labels([f"c{j}" for j in range(x.shape[1])])
+        design = DesignMatrix(x, labels, y)
+        if expected:
+            with pytest.raises(RankDeficient) as exc:
+                fit(design)
+            assert exc.value.labels == tuple(labels[j].text for j in expected)
+        else:
+            assert fit(design).n_cols == x.shape[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(exact_cases())
+    def test_solves_match_back_substitution(self, case):
+        data, ast, scheme = case
+        result = fit(build_design(ast, data, default_scheme=scheme))
+        p, r = result.n_cols, result.r
+        coefficients = reference_back_substitute(r[:p, :p], r[:p, p])
+        r_inv = reference_back_substitute(r[:p, :p], np.eye(p))
+        stderr = np.sqrt(result.sigma2 * np.diag(r_inv @ r_inv.T))
+        scale = np.abs(coefficients).max()
+        assert np.abs(result.coefficients - coefficients).max() <= 1e-13 * scale
+        assert (np.abs(result.stderr - stderr) <= 1e-13 * stderr).all()
+
+
+class TestResponseScale:
+    """y -> 2^k y scales each coefficient and SE by 2^k and keeps t, p
+    and R^2, also where RSS underflows (k = -540, -1000) or overflows
+    (k = 1000)."""
+
+    @pytest.mark.parametrize("k", [-1000, -540, 0, 500, 1000])
+    def test_scaling_the_response_by_a_power_of_two(self, k):
+        rng = np.random.default_rng(4)
+        g = np.arange(40) % 4
+        y = rng.normal(size=40) + 0.25 * g
+
+        def fit_of(values):
+            data = Dataset({"y": numeric_column(values),
+                            "g": CategoricalColumn(tuple("abcd"), g)})
+            return fit(build_design(parse_formula("y ~ g"), data))
+
+        base, scaled = fit_of(y), fit_of(np.ldexp(y, k))
+        for name in ("coefficients", "stderr"):
+            want = np.ldexp(getattr(base, name), k)
+            assert np.allclose(getattr(scaled, name), want, rtol=1e-12, atol=0), name
+        for name in ("t_values", "p_two_tailed"):
+            assert np.allclose(getattr(scaled, name), getattr(base, name),
+                               rtol=1e-12, atol=1e-12), name
+        assert abs(scaled.r_squared - base.r_squared) <= 1e-12
+        assert np.isfinite(scaled.stderr).all() and (scaled.stderr > 0).all()
+
+
 class TestPValues:
     def test_fit_and_combination_p_keep_relative_precision(self):
         rng = np.random.default_rng(8)
@@ -876,10 +995,11 @@ class TestOneTailed:
 
 def _fake_fit(estimate: float) -> FitResult:
     """Coefficients (10, estimate), each with SE 1 at df 10: a 12-row,
-    two-column design, an identity R and RSS 10."""
+    two-column design, an identity R, RSS 10 and its root, the residual
+    norm, in r[2, 2]."""
     design = DesignMatrix(np.column_stack([np.ones(12), np.arange(12) % 2]),
                           simple_labels(["a", "b"]), np.zeros(12))
-    r = [[1.0, 0.0, 10.0], [0.0, 1.0, estimate], [0.0, 0.0, 0.0]]
+    r = [[1.0, 0.0, 10.0], [0.0, 1.0, estimate], [0.0, 0.0, math.sqrt(10.0)]]
     return FitResult(design, r, rss=10.0, r_squared=0.5)
 
 
@@ -1027,7 +1147,10 @@ class TestOneTestRule:
         assert result.p_two_tailed.tolist() == [1.0, 1.0, 1.0]
 
     def test_zero_se_of_a_nonzero_estimate_gives_infinite_t(self):
-        result = dataclasses.replace(_fake_fit(estimate=-1.5), rss=0.0)
+        base = _fake_fit(estimate=-1.5)
+        r = base.r.copy()
+        r[2, 2] = 0.0
+        result = dataclasses.replace(base, r=r, rss=0.0)
         for unit, t in (([1.0, 0.0], math.inf), ([0.0, 1.0], -math.inf)):
             combo = linear_combination(result, unit)
             assert (combo.stderr, combo.t_value, combo.p_two_tailed) == (0.0, t, 0.0)

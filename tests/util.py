@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import operator
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -77,6 +79,53 @@ def exact_ols(x: np.ndarray, y: np.ndarray) -> tuple[list[Fraction], Fraction]:
     beta = [system[k][p] / system[k][k] for k in range(p)]
     rss = sum(((yi - dot(row, beta)) ** 2 for row, yi in zip(rows, ys)), Fraction(0))
     return beta, rss
+
+
+def reference_dependent_in_order(a: np.ndarray, tol: float) -> list[int]:
+    """The rank scan that solve's LAPACK test must agree with: columns
+    of a that lie in the span of the earlier columns kept, scanned left
+    to right, by Gram-Schmidt: those whose remainder after projecting
+    out the kept columns (twice, for orthogonality) is shorter than tol."""
+    basis = np.empty((a.shape[0], 0))
+    dependent = []
+    for j in range(a.shape[1]):
+        w = a[:, j]
+        for _ in range(2):
+            w = w - basis @ (basis.T @ w)
+        norm = math.sqrt(w @ w)
+        if norm < tol:
+            dependent.append(j)
+        else:
+            basis = np.column_stack([basis, w / norm])
+    return dependent
+
+
+def reference_back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve r x = b for an upper-triangular r, a row at a time from the
+    bottom; b is a vector or a matrix."""
+    x = np.array(b, dtype=np.float64)
+    for i in range(len(r) - 1, -1, -1):
+        x[i] -= r[i, i + 1:] @ x[i + 1:]
+        x[i] /= r[i, i]
+    return x
+
+
+def reference_format_value(value: float, places: int = 2) -> str:
+    """format_value by the decimal module: repr(value) quantized to
+    places, ties away from zero, with no leading zero below 1."""
+    value = float(value)
+    if not math.isfinite(value):
+        return str(value)
+    exact = Decimal(repr(value))
+    # Precise enough for every digit of the result, one more for a carry.
+    context = Context(prec=max(exact.adjusted(), 0) + places + 2)
+    quantum = Decimal(1).scaleb(-places)
+    text = f"{exact.quantize(quantum, rounding=ROUND_HALF_UP, context=context):f}"
+    if text.startswith("0."):
+        return text[1:]
+    if text.startswith("-0."):
+        return "-" + text[2:]
+    return text
 
 
 def dataset_csv(data: Dataset) -> str:
