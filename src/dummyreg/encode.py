@@ -152,7 +152,8 @@ class DesignMatrix:
     @cached_property
     def cell_sums(self) -> np.ndarray:
         """The response's sum over each table row's data rows, read-only."""
-        _, sums = _bincount_blocks(self.cell_index, len(self.cell_table), self.response)
+        _, sums = _bincount_blocks(self.cell_index, len(self.cell_table), self.response,
+                                   count=False)
         return _seed(self, "cell_sums", sums)
 
     @property
@@ -400,15 +401,16 @@ _KEY_SPAN = 4
 _ROW_BLOCK = 1 << 16
 
 
-def _row_blocks(n: int, step: int = _ROW_BLOCK):
-    """Slices of step rows that cover range(n), in order."""
+def _row_blocks(n: int, step: int | None = None):
+    """Slices of step rows, _ROW_BLOCK unless given, that cover range(n)."""
+    step = step or _ROW_BLOCK
     return (slice(start, start + step) for start in range(0, n, step))
 
 
-def _bincount_blocks(index: np.ndarray, m: int, weights: np.ndarray | None = None
-                     ) -> tuple[np.ndarray, np.ndarray | None]:
-    """np.bincount(index, minlength=m) and, given weights,
-    np.bincount(index, weights, minlength=m), else None: both taken over
+def _bincount_blocks(index: np.ndarray, m: int, weights: np.ndarray | None = None,
+                     count: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """np.bincount(index, minlength=m) if count, else None, and, given
+    weights, np.bincount(index, weights, minlength=m), else None: taken over
     slices of max(_ROW_BLOCK, m) rows, from one intp copy of each slice
     of the index, and added in block order.
 
@@ -420,11 +422,12 @@ def _bincount_blocks(index: np.ndarray, m: int, weights: np.ndarray | None = Non
     np.bincount. Summed by blocks, the error of a weighted sum grows
     with the block count and length, not with n.
     """
-    counts = np.zeros(m, dtype=np.intp)
+    counts = np.zeros(m, dtype=np.intp) if count else None
     sums = None if weights is None else np.zeros(m)
     for rows in _row_blocks(len(index), max(_ROW_BLOCK, m)):
         block = index[rows].astype(np.intp)
-        counts += np.bincount(block, minlength=m)
+        if counts is not None:
+            counts += np.bincount(block, minlength=m)
         if sums is not None:
             sums += np.bincount(block, weights[rows], minlength=m)
     return counts, sums

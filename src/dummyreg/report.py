@@ -128,11 +128,12 @@ def render_text(
     return _layout(rows, n_cols)
 
 
-def _json_number(value: float) -> float | None:
+def _json_number(value: float, sigma: float = 0.0) -> float | None:
     """value as a JSON number: null when it is not finite (an overflowed
-    RSS makes σ² and every SE inf), which JSON cannot spell."""
+    RSS makes σ² inf), which JSON cannot spell, or when it is a square
+    of sigma's scale (RSS, σ²) that underflowed to 0 though sigma did not."""
     value = float(value)
-    return value if math.isfinite(value) else None
+    return value if math.isfinite(value) and (value or not sigma) else None
 
 
 def render_json(
@@ -141,7 +142,7 @@ def render_json(
     scheme: str | None = None,
 ) -> dict:
     """Machine-readable fit summary with unrounded values; a value that
-    is not finite is null."""
+    is not finite, or an RSS or σ² that underflowed, is null."""
     return {
         "coefficients": [
             {
@@ -155,8 +156,8 @@ def render_json(
             for i, label in enumerate(fit.labels)
         ],
         "df_residual": int(fit.df_residual),
-        "sigma2": _json_number(fit.sigma2),
-        "rss": _json_number(fit.rss),
+        "sigma2": _json_number(fit.sigma2, fit.sigma),
+        "rss": _json_number(fit.rss, fit.sigma),
         "r_squared": _json_number(fit.r_squared),
         "n_rows": fit.design.n_rows,
         "scheme": scheme,

@@ -39,16 +39,13 @@ _SQUARES_FLOOR = 2.0 ** -900
 
 @dataclass(frozen=True)
 class FitResult:
-    """What a fit solved: its design, the read-only (p+1)-square R factor
-    of [X | y] over the n rows, RSS and R^2. Every estimate, test and
-    fitted value is made from these on first read, and kept read-only.
-    sigma is read from r[p, p], the residual norm, which stays finite
-    and nonzero where RSS, its square, overflows or underflows."""
+    """What a fit solved: its design and the read-only (p+1)-square R
+    factor of [X | y] over the design's pattern rows. Every estimate,
+    test, statistic and fitted value is made from these two on first
+    read, and kept read-only."""
 
     design: DesignMatrix
     r: np.ndarray
-    rss: float
-    r_squared: float
 
     def __post_init__(self):
         r = _frozen(np.asarray(self.r, dtype=np.float64))
@@ -59,8 +56,32 @@ class FitResult:
     labels = property(lambda self: self.design.labels)
     n_cols = property(lambda self: self.design.n_cols)
     df_residual = property(lambda self: self.design.n_rows - self.design.n_cols)
+    rss = property(lambda self: self._squares[0])
+    r_squared = property(lambda self: self._squares[1])
+    sigma = property(lambda self: self._squares[2])
     sigma2 = property(lambda self: self.rss / self.df_residual)
-    sigma = property(lambda self: abs(float(self.r[-1, -1])) / math.sqrt(self.df_residual))
+
+    @cached_property
+    def _squares(self) -> tuple[float, float, float]:
+        """RSS, R^2 and sigma, from one pass over the n rows that sums
+        RSS and the total sum of squares about the mean of the pattern
+        sums. Both are summed again from y scaled, exactly, to about
+        unit size when either may hold squares that underflowed or
+        overflowed. The shift is taken back out of RSS and of the
+        residual norm, its root, that sigma is read from: so sigma stays
+        finite and nonzero where RSS overflows or underflows."""
+        y, cell, n = self.design.response, self.design.cell_index, self.design.n_rows
+        mean = float(self.design.cell_sums.sum()) / n
+        rss, tss = _sums_of_squares(y, cell, self.cell_fitted, mean)
+        shift = 0
+        if not (_SQUARES_FLOOR <= rss < math.inf and _SQUARES_FLOOR <= tss < math.inf):
+            shift = -math.frexp(max(abs(float(y.min())), abs(float(y.max()))))[1]
+            rss, tss = _sums_of_squares(y, cell, self.cell_fitted, mean, shift=shift)
+        r_squared = 0.0 if tss == 0 else min(max(1.0 - rss / tss, 0.0), 1.0)
+        with np.errstate(over="ignore", under="ignore"):
+            norm = float(np.ldexp(math.sqrt(rss), -shift))
+            rss = float(np.ldexp(rss, -2 * shift))
+        return rss, r_squared, norm / math.sqrt(self.df_residual)
 
     @cached_property
     def coefficients(self) -> np.ndarray:
@@ -143,31 +164,29 @@ def fit(design: DesignMatrix) -> FitResult:
     normal equations as the n x p problem, and are its rows when each
     pattern has one row. The pattern sums are the design's cell_sums.
     That matrix is reduced to its (p+1)-square R factor without forming
-    Q, and the coefficients come from a LAPACK solve with R. The rank
-    test factors R's columns, scaled to unit norm, in formula order: a
-    column closer than RANK_TOL to the span of the earlier columns kept
-    is dependent, whatever its scale. RSS and the total sum of squares,
-    about the mean that the pattern sums give, come from one pass over
-    the n rows, which writes no n-row array; r[p, p] becomes the
-    residual norm. A non-finite table value or response value raises
-    NonFiniteValue, naming the first data row on that table row, or the
-    table row itself when no data row uses it; a finite response whose
-    sum overflows raises ResponseOverflow.
+    Q, so r[p, p] is the residual norm of the pattern rows: the part of
+    the residual between patterns, all of it when each pattern has one
+    row. The rank test factors R's columns, scaled to unit norm, in
+    formula order: a column closer than RANK_TOL to the span of the
+    earlier columns kept is dependent, whatever its scale. fit reads no
+    n-row array of a design whose pattern sums are known; the result
+    derives its estimates and its statistics. A non-finite table value
+    raises NonFiniteValue, naming the first data row on that table row,
+    or the table row itself when no data row uses it; a non-finite
+    response value raises it naming its own row, and a finite response
+    whose sum overflows raises ResponseOverflow.
     """
-    table, cell, y = design.cell_table, design.cell_index, design.response
+    table, cell = design.cell_table, design.cell_index
     n, p = design.n_rows, design.n_cols
     if n <= p:
         raise TooFewRows(n, p)
 
     counts, sums = design.cell_counts, design.cell_sums
-    total = float(sums.sum())
-    if not math.isfinite(total):
-        finite = np.isfinite(y)
+    if not math.isfinite(float(sums.sum())):
+        finite = np.isfinite(design.response)
         if finite.all():
             raise ResponseOverflow(design.response_name)
-        bad = np.zeros(len(table), dtype=bool)
-        bad[cell[~finite]] = True
-        raise NonFiniteValue(design.response_name, _first_row(bad, cell))
+        raise NonFiniteValue(design.response_name, _first_row(~finite))
     if not np.isfinite(table).all():
         j = int(np.argmax(~np.isfinite(table).all(axis=0)))
         bad = ~np.isfinite(table[:, j])
@@ -188,30 +207,7 @@ def fit(design: DesignMatrix) -> FitResult:
     dependent = _dependent_in_order(unit, RANK_TOL)
     if dependent:
         raise RankDeficient([design.labels[j].text for j in dependent])
-    coefficients = np.linalg.solve(r[:p, :p], r[:p, p])
-
-    cell_fitted = table @ coefficients
-    mean = total / n
-    rss, tss = _sums_of_squares(y, cell, cell_fitted, mean)
-
-    # Both sums again from y scaled, exactly, to about unit size, when
-    # either may hold squares that underflowed or overflowed; the shift
-    # is taken back out of RSS and of r[p, p], its square root.
-    shift = 0
-    if not (_SQUARES_FLOOR <= rss < math.inf and _SQUARES_FLOOR <= tss < math.inf):
-        largest = max(abs(float(y.min())), abs(float(y.max())))
-        shift = -math.frexp(largest)[1]
-        rss, tss = _sums_of_squares(y, cell, cell_fitted, mean, shift=shift)
-    r_squared = 0.0 if tss == 0 else min(max(1.0 - rss / tss, 0.0), 1.0)
-    with np.errstate(over="ignore", under="ignore"):
-        r[p, p] = np.ldexp(math.sqrt(rss), -shift)
-        rss = float(np.ldexp(rss, -2 * shift))
-
-    result = FitResult(design, r, rss, r_squared)
-    # The RSS pass needed these; the result would derive the same arrays.
-    _seed(result, "coefficients", coefficients)
-    _seed(result, "cell_fitted", cell_fitted)
-    return result
+    return FitResult(design, r)
 
 
 def _sums_of_squares(y, cell, cell_fitted, mean: float,

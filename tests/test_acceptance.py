@@ -127,12 +127,12 @@ def test_07_t_cdf_accuracy():
 
 
 def test_08_one_tailed_halving():
-    # Coefficients (10, -1.3), each with SE 1 at df 10: an identity R
-    # and a residual norm of sqrt(10), the root of RSS.
-    design = DesignMatrix(np.column_stack([np.ones(12), np.arange(12) % 2]),
-                          simple_labels(["a", "b"]), np.zeros(12))
-    r = [[1.0, 0.0, 10.0], [0.0, 1.0, -1.3], [0.0, 0.0, np.sqrt(10.0)]]
-    result = FitResult(design, r, rss=10.0, r_squared=0.5)
+    # Coefficients (10, -1.3), each with SE 1 at df 10: an identity R,
+    # and residuals of +-1 on 10 of 12 rows and 0 on 2, so RSS is 10.
+    b = np.arange(12) % 2
+    y = 10.0 - 1.3 * b + np.array([1.0, -1.0] * 5 + [0.0, 0.0])
+    design = DesignMatrix(np.column_stack([np.ones(12), b]), simple_labels(["a", "b"]), y)
+    result = FitResult(design, [[1.0, 0.0, 10.0], [0.0, 1.0, -1.3], [0.0, 0.0, 0.0]])
     p_two = two_tailed_p(1.3, 10)
     err = abs(one_tailed_p(result, "b", "less") - p_two / 2)
     _line(8, err < 1e-12, f"one-tailed p from two-tailed {p_two:.4f}: err {err:.2e}")

@@ -113,6 +113,26 @@ class TestFit:
                    for key in ("estimate", "stderr", "t"))
         assert 0 < doc["r_squared"] < 1
 
+    def test_json_writes_an_underflowed_statistic_as_null(self, capsys, tmp_path):
+        # With y scaled by 2**-1000 RSS underflows to 0, and with it
+        # sigma^2, beside nonzero SEs; a zero response's 0 is written as 0.
+        rng = np.random.default_rng(4)
+        g = np.arange(40) % 4
+        docs = []
+        for y in (np.ldexp(rng.normal(size=40) + 0.25 * g, -1000), np.zeros(40)):
+            path = tmp_path / "y.csv"
+            path.write_text("y,g\n" + "".join(f"{v!r},g{c}\n" for v, c in zip(y.tolist(), g)))
+            code, out, err = run_cli(capsys, "fit", "--data", str(path),
+                                     "--formula", "y ~ g", "--output", "json")
+            assert (code, err) == (0, "")
+            docs.append(json.loads(out))
+        scaled, zero = docs
+        assert scaled["rss"] is None and scaled["sigma2"] is None
+        assert all(0 < c["stderr"] < 1e-300 for c in scaled["coefficients"])
+        assert 0.2 < scaled["r_squared"] < 0.3
+        assert (zero["rss"], zero["sigma2"]) == (0.0, 0.0)
+        assert all(c["stderr"] == 0.0 for c in zero["coefficients"])
+
     def test_refs_flag_changes_reference(self, capsys, education_csv):
         code, out, _ = run_cli(
             capsys, "fit", "--data", education_csv, "--formula", "bmi ~ edu",

@@ -5,6 +5,7 @@ import itertools
 import math
 from fractions import Fraction
 import tracemalloc
+from unittest import mock
 import warnings
 
 import numpy as np
@@ -32,6 +33,7 @@ from dummyreg import (
     read_csv_text,
     simple_labels,
 )
+from dummyreg import encode, solve
 from dummyreg.dataset import _code_dtype
 from dummyreg.encode import _ROW_BLOCK
 from dummyreg.formula import SCHEMES
@@ -565,18 +567,35 @@ class TestRowPasses:
                         "h": CategoricalColumn(tuple("xyz"), h)})
 
     def test_peak_allocation_does_not_grow_with_n(self):
-        peaks = []
+        # fit factors the pattern rows alone; the statistics' row pass
+        # reads the n rows in blocks.
+        fits, peaks = [], []
         for n in (200_000, 1_000_000):
             design = build_design(parse_formula("y ~ g*h"), self.crossing(n))
             tracemalloc.start()
             try:
-                fit(design)
+                result = fit(design)
+                fits.append(tracemalloc.get_traced_memory()[1])
+                result.rss, result.stderr, result.r_squared
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+        assert max(fits) < 1e5, fits
         small, large = peaks
         assert large < 3e6, peaks
         assert abs(large - small) <= 0.1 * small, peaks
+
+    def test_r_ends_in_the_residual_norm_of_the_pattern_rows(self):
+        # r[p, p]^2 is RSS less the within-pattern sum of squares, and
+        # all of RSS when each row is its own pattern.
+        design = build_design(parse_formula("y ~ g + h"), self.crossing(5000))
+        result, p = fit(design), design.n_cols
+        cell, y = design.cell_index, design.response
+        means = np.bincount(cell, y) / np.bincount(cell)
+        within = float(((y - means[cell]) ** 2).sum())
+        assert result.r[p, p] ** 2 == pytest.approx(result.rss - within, rel=1e-9)
+        rows = fit(DesignMatrix(design.values, design.labels, y))
+        assert rows.r[p, p] ** 2 == pytest.approx(result.rss, rel=1e-9)
 
     def test_fitted_values_are_made_on_first_read(self):
         design = build_design(parse_formula("y ~ g*h"), self.crossing(5000))
@@ -658,11 +677,12 @@ class TestNonFinite:
             fit(design)
         assert (exc.value.name, exc.value.row) == ("x", 3)
 
+        # A response value is named on its own row, as build_design names it.
         y = np.array([1.0, 2.0, 3.0, 4.0, 5.0, np.nan, 7.0])
         design = DesignMatrix(table, labels, y, cell_index=index)
         with pytest.raises(NonFiniteValue) as exc:
             fit(design)
-        assert (exc.value.name, exc.value.row) == ("y", 3)
+        assert (exc.value.name, exc.value.row) == ("y", 5)
 
     def test_a_sum_that_overflows_is_not_a_non_finite_value(self):
         table = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -673,10 +693,20 @@ class TestNonFinite:
             fit(DesignMatrix(table, labels, y, cell_index=index))
         assert exc.value.name == "y"
         y = y.copy()  # the design froze y
-        y[3] = np.nan  # named, on its pattern's first row, though a sum overflows
+        y[3] = np.nan  # named, on its own row, though a sum overflows
         with pytest.raises(NonFiniteValue) as exc:
             fit(DesignMatrix(table, labels, y, cell_index=index))
-        assert (exc.value.name, exc.value.row) == ("y", 2)
+        assert (exc.value.name, exc.value.row) == ("y", 3)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_a_response_value_is_named_on_its_own_row(self, bad):
+        # Row 0 shares the bad row's pattern but holds a finite value.
+        y = [1.0, 2.0, 3.0, bad, 5.0, 6.0]
+        design = DesignMatrix([[1.0, 0.0], [1.0, 1.0]], simple_labels(["a", "b"]), y,
+                              cell_index=[0, 1, 1, 0, 1, 0])
+        with pytest.raises(NonFiniteValue) as exc:
+            fit(design)
+        assert (exc.value.name, exc.value.row) == ("y", 3)
 
     def test_unused_table_row_is_named_itself(self):
         table = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, np.nan], [1.0, 2.0]])
@@ -944,6 +974,107 @@ class TestResponseScale:
         assert np.isfinite(scaled.stderr).all() and (scaled.stderr > 0).all()
 
 
+@st.composite
+def relation_cases(draw):
+    """1-3 pinned factors of 2-3 levels, added or crossed, maybe with a
+    centred log covariate and a cat() count, under one scheme, on 20-50
+    rows more than the crossing has cells. The first rows hold each
+    crossing of the factors' levels and each count, so no cell or level
+    is empty."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ks = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    factors = ["a", "b", "c"][:len(ks)]
+    grid = np.array(list(itertools.product(*map(range, ks)))).T
+    n = grid.shape[1] + draw(st.integers(20, 50))
+    columns = {"x": numeric_column(rng.uniform(0.5, 40.0, n)),
+               "k": numeric_column(np.concatenate([[0.0, 1.0, 2.0],
+                                                   rng.integers(0, 3, n - 3)]))}
+    for name, k, first in zip(factors, ks, grid):
+        codes = np.concatenate([first, rng.integers(0, k, n - len(first))])
+        columns[name] = CategoricalColumn(tuple(f"{name}{i}" for i in range(k)), codes,
+                                          pinned=True)
+    columns["y"] = numeric_column(rng.normal(25.0, 3.0, n) + columns["a"].codes)
+    extras = draw(st.lists(st.sampled_from([LOG_X, "cat(k)"]), unique=True))
+    joint = "*" if draw(st.booleans()) else " + "
+    formula = "y ~ " + " + ".join([joint.join(factors), *extras])
+    return Dataset(columns), parse_formula(formula), draw(st.sampled_from(SCHEMES))
+
+
+def _rows_of(data, rows):
+    """data's rows in the order that rows gives; a factor keeps its
+    levels, in order."""
+    return Dataset({name: CategoricalColumn(column.levels, column.codes[rows], pinned=True)
+                    if isinstance(column, CategoricalColumn)
+                    else numeric_column(column.values[rows])
+                    for name, column in data.columns.items()})
+
+
+def assert_same_fit(got, want, tol=1e-13):
+    """Coefficients within tol of the largest, each SE and RSS within
+    tol relative, R^2 within tol."""
+    scale = np.abs(want.coefficients).max()
+    assert np.abs(got.coefficients - want.coefficients).max() <= tol * scale
+    assert (np.abs(got.stderr - want.stderr) <= tol * want.stderr).all()
+    assert abs(got.rss - want.rss) <= tol * want.rss
+    assert abs(got.r_squared - want.r_squared) <= tol
+
+
+class TestRelations:
+    """Fits of related data agree within a stated tolerance, not bit for
+    bit, so these relations hold whatever the order of the sums.
+    Releveling and scheme invariance (test_acceptance.py::test_02,
+    ::test_05), the scale of a column
+    (TestRankTest::test_column_scale_does_not_change_the_fit) and the
+    scale of y (TestTotalSumOfSquares, TestResponseScale) are tested
+    where they are named."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(relation_cases(), st.integers(0, 2**32 - 1))
+    def test_a_row_permutation_keeps_the_fit(self, case, seed):
+        data, ast, scheme = case
+        rows = np.random.default_rng(seed).permutation(len(data["y"]))
+        base = fit(build_design(ast, data, scheme))
+        assert_same_fit(fit(build_design(ast, _rows_of(data, rows), scheme)), base)
+
+    @settings(max_examples=100, deadline=None)
+    @given(relation_cases())
+    def test_every_row_twice_keeps_the_coefficients_and_doubles_rss(self, case):
+        data, ast, scheme = case
+        twice = _rows_of(data, np.tile(np.arange(len(data["y"])), 2))
+        base, doubled = (fit(build_design(ast, d, scheme)) for d in (data, twice))
+        scale = np.abs(base.coefficients).max()
+        assert np.abs(doubled.coefficients - base.coefficients).max() <= 1e-13 * scale
+        assert abs(doubled.rss - 2.0 * base.rss) <= 1e-13 * 2.0 * base.rss
+
+    @settings(max_examples=100, deadline=None)
+    @given(relation_cases(), st.sampled_from([3.0, -0.7, 10.0 / 3.0]),
+           st.floats(-50.0, 50.0))
+    def test_an_affine_response_maps_the_coefficients(self, case, a, c):
+        # y -> a y + c: the slopes scale by a and the intercept becomes
+        # a b0 + c, under every scheme, since the intercept column is
+        # all ones. a is not a power of two, so each product rounds.
+        data, ast, scheme = case
+        mapped = Dataset({**data.columns, "y": numeric_column(a * data["y"].values + c)})
+        base, result = (fit(build_design(ast, d, scheme)) for d in (data, mapped))
+        assert result.labels[0].text == "(intercept)"
+        want = a * base.coefficients
+        want[0] += c
+        assert np.abs(result.coefficients - want).max() <= 1e-13 * np.abs(want).max()
+        assert abs(result.r_squared - base.r_squared) <= 1e-13
+
+    @settings(max_examples=100, deadline=None)
+    @given(relation_cases())
+    def test_small_blocks_keep_the_fit(self, case):
+        # Every row pass and the pattern QR take 7 rows at a time. The
+        # statistics are read inside the patch, since their pass runs on
+        # first read.
+        data, ast, scheme = case
+        base = fit(build_design(ast, data, scheme))
+        with mock.patch.object(encode, "_ROW_BLOCK", 7), \
+                mock.patch.object(solve, "_QR_BLOCK_ROWS", 7):
+            assert_same_fit(fit(build_design(ast, data, scheme)), base)
+
+
 class TestPValues:
     def test_fit_and_combination_p_keep_relative_precision(self):
         rng = np.random.default_rng(8)
@@ -993,14 +1124,15 @@ class TestOneTailed:
         assert one_tailed_p(result, "female", "less") == pytest.approx(p2 / 2)
 
 
-def _fake_fit(estimate: float) -> FitResult:
-    """Coefficients (10, estimate), each with SE 1 at df 10: a 12-row,
-    two-column design, an identity R, RSS 10 and its root, the residual
-    norm, in r[2, 2]."""
-    design = DesignMatrix(np.column_stack([np.ones(12), np.arange(12) % 2]),
-                          simple_labels(["a", "b"]), np.zeros(12))
-    r = [[1.0, 0.0, 10.0], [0.0, 1.0, estimate], [0.0, 0.0, math.sqrt(10.0)]]
-    return FitResult(design, r, rss=10.0, r_squared=0.5)
+def _fake_fit(estimate: float, noise: float = 1.0) -> FitResult:
+    """Coefficients (10, estimate), each with SE `noise` at df 10: a
+    12-row, two-column design, an identity R, and y = 10 + estimate * b
+    + e, with e = +-noise on 10 rows and 0 on 2, so RSS is 10 noise^2."""
+    b = np.arange(12) % 2
+    e = noise * np.array([1.0, -1.0] * 5 + [0.0, 0.0])
+    design = DesignMatrix(np.column_stack([np.ones(12), b]), simple_labels(["a", "b"]),
+                          10.0 + estimate * b + e)
+    return FitResult(design, [[1.0, 0.0, 10.0], [0.0, 1.0, estimate], [0.0, 0.0, 0.0]])
 
 
 class TestLinearCombination:
@@ -1113,17 +1245,18 @@ class TestOneTestRule:
     @settings(max_examples=50, deadline=None)
     @given(inference_cases())
     def test_a_result_is_read_from_its_design_and_r(self, case):
-        # Rebuilt by hand from fit's four fields, a result reads fit's
-        # arrays, and its table is still its unit combinations' tests.
+        # Rebuilt by hand from fit's two fields, a result reads fit's
+        # arrays and statistics, and its table is still its unit
+        # combinations' tests.
         data, ast, scheme = case
         design = build_design(ast, data, scheme)
         try:
             result = fit(design)
         except (RankDeficient, TooFewRows):
             return
-        rebuilt = FitResult(design, result.r, result.rss, result.r_squared)
+        rebuilt = FitResult(design, result.r)
         for name in ("coefficients", "cov", "stderr", "t_values", "p_two_tailed",
-                     "fitted"):
+                     "fitted", "rss", "r_squared", "sigma"):
             assert np.array_equal(getattr(rebuilt, name), getattr(result, name)), name
         for i, unit in enumerate(np.eye(rebuilt.n_cols)):
             combo = linear_combination(rebuilt, unit)
@@ -1131,9 +1264,9 @@ class TestOneTestRule:
                 == (combo.stderr, combo.t_value, combo.p_two_tailed)
 
     def test_a_result_keeps_only_what_fit_solved(self):
-        assert tuple(FitResult.__dataclass_fields__) == ("design", "r", "rss", "r_squared")
+        assert tuple(FitResult.__dataclass_fields__) == ("design", "r")
         with pytest.raises(ValueError, match="square"):
-            FitResult(_fake_fit(1.0).design, np.eye(2), 10.0, 0.5)
+            FitResult(_fake_fit(1.0).design, np.eye(2))
 
     def test_zero_response_gives_zero_t(self):
         data = Dataset({"y": numeric_column(np.zeros(6)),
@@ -1147,10 +1280,8 @@ class TestOneTestRule:
         assert result.p_two_tailed.tolist() == [1.0, 1.0, 1.0]
 
     def test_zero_se_of_a_nonzero_estimate_gives_infinite_t(self):
-        base = _fake_fit(estimate=-1.5)
-        r = base.r.copy()
-        r[2, 2] = 0.0
-        result = dataclasses.replace(base, r=r, rss=0.0)
+        result = _fake_fit(estimate=-1.5, noise=0.0)
+        assert result.rss == 0.0
         for unit, t in (([1.0, 0.0], math.inf), ([0.0, 1.0], -math.inf)):
             combo = linear_combination(result, unit)
             assert (combo.stderr, combo.t_value, combo.p_two_tailed) == (0.0, t, 0.0)
