@@ -32,6 +32,7 @@ from .errors import (
     NonPositiveLog,
     NotCategorical,
     ResponseNotNumeric,
+    ResponseOverflow,
     SingleLevel,
     UnknownLevel,
     UnknownVariable,
@@ -146,14 +147,13 @@ class DesignMatrix:
     @cached_property
     def cell_counts(self) -> np.ndarray:
         """Data rows per table row, read-only."""
-        counts, _ = _bincount_blocks(self.cell_index, len(self.cell_table))
+        counts = _bincount_blocks(self.cell_index, len(self.cell_table))
         return _seed(self, "cell_counts", counts)
 
     @cached_property
     def cell_sums(self) -> np.ndarray:
         """The response's sum over each table row's data rows, read-only."""
-        _, sums = _bincount_blocks(self.cell_index, len(self.cell_table), self.response,
-                                   count=False)
+        sums = _bincount_blocks(self.cell_index, len(self.cell_table), self.response)
         return _seed(self, "cell_sums", sums)
 
     @property
@@ -204,8 +204,8 @@ def apply_transform(
 ) -> np.ndarray:
     """Apply a factor's transform chain (log, then centering) to values.
 
-    This is the one check of numeric values, the response's too: ±inf
-    raises NonFiniteValue, then, under log, a non-positive value raises
+    This is the one check of a numeric predictor's values: ±inf raises
+    NonFiniteValue, then, under log, a non-positive value raises
     NonPositiveLog. Either names its row by dataset._first_row, with
     ``index`` mapping data rows to entries of ``values``.
     """
@@ -407,12 +407,12 @@ def _row_blocks(n: int, step: int | None = None):
     return (slice(start, start + step) for start in range(0, n, step))
 
 
-def _bincount_blocks(index: np.ndarray, m: int, weights: np.ndarray | None = None,
-                     count: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """np.bincount(index, minlength=m) if count, else None, and, given
-    weights, np.bincount(index, weights, minlength=m), else None: taken over
-    slices of max(_ROW_BLOCK, m) rows, from one intp copy of each slice
-    of the index, and added in block order.
+def _bincount_blocks(index: np.ndarray, m: int,
+                     weights: np.ndarray | None = None) -> np.ndarray:
+    """np.bincount(index, minlength=m), or, given weights,
+    np.bincount(index, weights, minlength=m): taken over slices of
+    max(_ROW_BLOCK, m) rows, from one intp copy of each slice of the
+    index, and added in block order.
 
     np.bincount copies an index that is read-only or not intp, and
     read-only weights, whole; a block's copy stays in cache. On 1e6 rows
@@ -422,15 +422,27 @@ def _bincount_blocks(index: np.ndarray, m: int, weights: np.ndarray | None = Non
     np.bincount. Summed by blocks, the error of a weighted sum grows
     with the block count and length, not with n.
     """
-    counts = np.zeros(m, dtype=np.intp) if count else None
-    sums = None if weights is None else np.zeros(m)
+    out = np.zeros(m, dtype=np.intp if weights is None else np.float64)
     for rows in _row_blocks(len(index), max(_ROW_BLOCK, m)):
         block = index[rows].astype(np.intp)
-        if counts is not None:
-            counts += np.bincount(block, minlength=m)
-        if sums is not None:
-            sums += np.bincount(block, weights[rows], minlength=m)
-    return counts, sums
+        out += np.bincount(block, None if weights is None else weights[rows],
+                           minlength=m)
+    return out
+
+
+def _check_response(name: str, response: np.ndarray, sums: np.ndarray) -> None:
+    """The one check of a design's response, read from its pattern sums:
+    a value that is not finite makes its pattern's sum not finite, and
+    raises NonFiniteValue naming its row by dataset._first_row; finite
+    values whose sum overflows raise ResponseOverflow. The sums are
+    tested before they are added, so +inf and -inf sums add to no NaN."""
+    with np.errstate(over="ignore"):  # an overflow is inf
+        if np.isfinite(sums).all() and np.isfinite(sums.sum()):
+            return
+    finite = np.isfinite(response)
+    if finite.all():
+        raise ResponseOverflow(name)
+    raise NonFiniteValue(name, _first_row(~finite))
 
 
 def _counted_unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -455,53 +467,48 @@ def _counted_unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return occupied + low, lookup.take(offsets)
 
 
-def _compact(key: np.ndarray, size: int, weights: np.ndarray | None = None
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _compact(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Renumber keys in [0, size) to the m occupied ones, in ascending
-    order, in place when counting; returns the new keys, the m keys'
-    row counts and, given n weights, their sums when counting, else
-    None. Keys that occupy all of [0, size) are returned as they are,
-    and a read-only key (a column's own codes) is never written."""
+    order, in place when counting; returns the new keys and the m keys'
+    row counts. Keys that occupy all of [0, size) are returned as they
+    are, and a read-only key (a column's own codes) is never written."""
     if size > _KEY_SPAN * key.size:
         _, key, counts = np.unique(key, return_inverse=True, return_counts=True)
-        return key.reshape(-1), counts, None
-    counts, sums = _bincount_blocks(key, size, weights)
+        return key.reshape(-1), counts
+    counts = _bincount_blocks(key, size)
     if counts.all():
-        return key, counts, sums
+        return key, counts
     occupied = np.flatnonzero(counts)
     lookup = np.empty(size, dtype=_code_dtype(occupied.size))
     lookup[occupied] = np.arange(occupied.size)
     out = key if key.flags.writeable else np.empty(key.size, dtype=lookup.dtype)
     for rows in _row_blocks(key.size):  # take on an intp index, as fit reads
         out[rows] = lookup.take(key[rows].astype(np.intp))
-    return out, counts[occupied], None if sums is None else sums[occupied]
+    return out, counts[occupied]
 
 
 def _occupied_cells(
-    columns: Mapping[str, Column], response: np.ndarray
-) -> tuple[Mapping[str, Column], np.ndarray, np.ndarray, np.ndarray | None]:
+    columns: Mapping[str, Column], n: int
+) -> tuple[Mapping[str, Column], np.ndarray, np.ndarray]:
     """The rows to encode, one per occupied covariate pattern.
 
-    ``columns`` holds every formula variable as the encoder reads it
-    (``cat()`` numerics converted). A row's pattern folds one digit per
-    variable, mixed-radix: a categorical's level code, or a numeric
-    value's rank among the column's distinct float64 bit patterns, so
-    each pattern's row is bit-identical to its data rows (-0.0 and 0.0
-    are two patterns). The key is folded in the narrowest integer type
-    that holds its running range and its digits, and is compacted to
-    the m occupied patterns by counting whenever its range would outgrow
-    a few times n, so an all-categorical design is keyed in O(n). A
-    numeric column is ranked by counting too when its values are whole
-    and narrow in range (_counted_unique), else by sorting. Returns the
-    columns to encode (each pattern's values, from one of its rows), the
-    n-row pattern index, in the narrowest integer type that holds m (as
-    categorical codes are), the m patterns' row counts and the sums of
-    the n-row ``response`` over each pattern, taken in the pass that
-    counts the patterns (None when they are numbered by sorting); a
-    numeric column of n distinct values gives the columns as given,
-    arange(n) and the response itself.
+    ``columns`` holds every formula variable, n rows each, as the
+    encoder reads it (``cat()`` numerics converted). A row's pattern
+    folds one digit per variable, mixed-radix: a categorical's level
+    code, or a numeric value's rank among the column's distinct float64
+    bit patterns, so each pattern's row is bit-identical to its data
+    rows (-0.0 and 0.0 are two patterns). The key is folded in the
+    narrowest integer type that holds its running range and its digits,
+    and is compacted to the m occupied patterns by counting whenever its
+    range would outgrow a few times n, so an all-categorical design is
+    keyed in O(n). A numeric column is ranked by counting too when its
+    values are whole and narrow in range (_counted_unique), else by
+    sorting. Returns the columns to encode (each pattern's values, from
+    one of its rows), the n-row pattern index, in the narrowest integer
+    type that holds m (as categorical codes are) and the m patterns' row
+    counts; a numeric column of n distinct values gives the columns as
+    given, arange(n) and n ones.
     """
-    n = response.size
     key, size = None, 1
     for column in columns.values():
         if isinstance(column, CategoricalColumn):
@@ -512,12 +519,12 @@ def _occupied_cells(
             digit, k = digit.reshape(-1), distinct.size
             if k == n:
                 return (columns, np.arange(n, dtype=_code_dtype(n)),
-                        np.ones(n, dtype=np.intp), response)
+                        np.ones(n, dtype=np.intp))
         if size == 1:  # a key of one value folds to the digit itself
             key, size = digit, k
             continue
         if size * k > _KEY_SPAN * n:
-            key, counts, _ = _compact(key, size)
+            key, counts = _compact(key, size)
             size = counts.size
         dtype = np.result_type(key.dtype, digit.dtype, _code_dtype(size * k))
         if key.flags.writeable and key.dtype == dtype:
@@ -526,7 +533,7 @@ def _occupied_cells(
             key = np.multiply(key, k, dtype=dtype)
         key += digit
         size *= k
-    key, counts, sums = _compact(key, size, response)
+    key, counts = _compact(key, size)
     m = counts.size
     key = key.astype(_code_dtype(m), copy=False)
     # Any row of a pattern stands for all. The scan stops once every
@@ -547,7 +554,7 @@ def _occupied_cells(
             patterns[name] = CategoricalColumn(column.levels, column.codes[first])
         else:
             patterns[name] = NumericColumn(column.values[first])
-    return patterns, key, counts, sums
+    return patterns, key, counts
 
 
 def build_design(
@@ -560,9 +567,12 @@ def build_design(
 
     Column order: intercept, main-effect terms in formula order, then
     interaction terms in formula order. Callers must remove missing
-    values first (see dataset.listwise_delete). ±inf in the response
-    raises NonFiniteValue up front; in a variable used as a number, only
-    when apply_transform encodes it, after any encoding error.
+    values first (see dataset.listwise_delete). The response's pattern
+    sums are taken in one pass once the rows are keyed, and seeded on
+    the design; ±inf in the response, or a sum that overflows, raises
+    there (_check_response), after the references and schemes resolve
+    and before any encoding error. ±inf in a variable used as a number
+    raises only when apply_transform encodes it.
     """
     if not ast.intercept:
         raise InterceptRequired()
@@ -577,7 +587,6 @@ def build_design(
     incomplete = [name for name in used if data[name].has_missing]
     if incomplete:
         raise MissingValuesPresent(incomplete)
-    apply_transform(response_col.values, VarRef(ast.response))  # ±inf raises
     for name in refs:
         if name not in data:
             raise UnknownVariable(name)
@@ -586,7 +595,10 @@ def build_design(
     for name in refs:
         if name in ast.variables() and name not in categoricals:
             raise NotCategorical(name)
-    columns, cell, counts, sums = _occupied_cells(columns, response_col.values)
+    response = response_col.values
+    columns, cell, counts = _occupied_cells(columns, response.size)
+    sums = _bincount_blocks(cell, counts.size, response)
+    _check_response(ast.response, response, sums)
     for term in ast.terms:
         if term.kind != "interaction":
             continue
@@ -603,11 +615,9 @@ def build_design(
     contrasts, terms, labels = _layout(ast, categoricals)
     table = _encode(terms, contrasts, columns, counts.size, len(labels), index=cell)
     info = DesignInfo(ast, categoricals)
-    design = DesignMatrix(table, labels, response_col.values, ast.response, info,
-                          cell_index=cell)
+    design = DesignMatrix(table, labels, response, ast.response, info, cell_index=cell)
     _seed(design, "cell_counts", counts)
-    if sums is not None:
-        _seed(design, "cell_sums", sums)
+    _seed(design, "cell_sums", sums)
     return design
 
 

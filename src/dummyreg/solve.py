@@ -19,12 +19,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import _first_row, _frozen, _seed
-from .encode import DesignMatrix, _row_blocks, profile_row
+from .encode import DesignMatrix, _check_response, _row_blocks, profile_row
 from .errors import (
     DimensionMismatch,
     NonFiniteValue,
     RankDeficient,
-    ResponseOverflow,
     TooFewRows,
     UnknownLabel,
 )
@@ -172,9 +171,11 @@ def fit(design: DesignMatrix) -> FitResult:
     n-row array of a design whose pattern sums are known; the result
     derives its estimates and its statistics. A non-finite table value
     raises NonFiniteValue, naming the first data row on that table row,
-    or the table row itself when no data row uses it; a non-finite
-    response value raises it naming its own row, and a finite response
-    whose sum overflows raises ResponseOverflow.
+    or the table row itself when no data row uses it. The response is
+    checked on the pattern sums by the check that build_design makes
+    (encode._check_response), for a hand-built design too: a non-finite
+    value raises NonFiniteValue naming its own row, and a finite
+    response whose sum overflows raises ResponseOverflow.
     """
     table, cell = design.cell_table, design.cell_index
     n, p = design.n_rows, design.n_cols
@@ -182,11 +183,7 @@ def fit(design: DesignMatrix) -> FitResult:
         raise TooFewRows(n, p)
 
     counts, sums = design.cell_counts, design.cell_sums
-    if not math.isfinite(float(sums.sum())):
-        finite = np.isfinite(design.response)
-        if finite.all():
-            raise ResponseOverflow(design.response_name)
-        raise NonFiniteValue(design.response_name, _first_row(~finite))
+    _check_response(design.response_name, design.response, sums)
     if not np.isfinite(table).all():
         j = int(np.argmax(~np.isfinite(table).all(axis=0)))
         bad = ~np.isfinite(table[:, j])

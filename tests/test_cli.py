@@ -570,6 +570,24 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == "error: the sum of response 'y' overflows; rescale it\n"
 
+    def test_encode_reports_a_response_whose_sum_overflows(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("y,g\n1e308,a\n1e308,b\n1e308,a\n1e308,b\n")
+        code, out, err = run_cli(
+            capsys, "encode", "--data", str(path), "--formula", "y ~ g")
+        assert (code, out) == (3, "")
+        assert err == "error: the sum of response 'y' overflows; rescale it\n"
+
+    @pytest.mark.parametrize("subcommand", ["fit", "encode"])
+    def test_unknown_reference_level_before_a_non_finite_response(
+            self, capsys, tmp_path, subcommand):
+        path = tmp_path / "data.csv"
+        path.write_text("y,g\n1.5,a\n2.5,b\n1e500,a\n4.5,b\n")
+        code, out, err = run_cli(
+            capsys, subcommand, "--data", str(path), "--formula", "y ~ g",
+            "--refs", "g=zzz")
+        assert (code, out, err) == (3, "", "error: 'zzz' is not a level of 'g'\n")
+
     # Each error names the CSV line its row starts on: not the row among
     # those kept after listwise deletion, and counting each line of a
     # quoted cell that holds a line break.

@@ -1164,9 +1164,8 @@ class TestOwnedData:
         data = read_csv_text("bmi,female,edu,age,w\n" + "\n".join(lines) + "\n")
         kept = listwise_delete(data, ["bmi", "female", "edu", "age", "w"])
         assert kept.n_rows < n
-        patterns, _, counts, _ = _occupied_cells(
-            {name: kept[name] for name in ("female", "edu", "age", "w")},
-            kept["bmi"].values)
+        patterns, _, counts = _occupied_cells(
+            {name: kept[name] for name in ("female", "edu", "age", "w")}, kept.n_rows)
         assert counts.size < kept.n_rows
         for frame in (data.columns, kept.columns, patterns):
             for name, column in frame.items():

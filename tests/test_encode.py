@@ -36,6 +36,7 @@ from dummyreg.errors import (
     NonPositiveLog,
     NotCategorical,
     ResponseNotNumeric,
+    ResponseOverflow,
     SingleLevel,
     UnknownLevel,
     UnknownVariable,
@@ -314,6 +315,27 @@ class TestBuildDesign:
             build_design(parse_formula("y ~ g * log(x)"), read_csv_text(text))
         assert (exc.value.name, exc.value.row) == (name, 1)
 
+    def test_a_response_whose_sum_overflows(self):
+        # Every value is finite, and so is each pattern's sum; their
+        # total is not.
+        y = [1e308, 1.5e308, -0.5e308, -0.3e308, 1.2e308]
+        data = Dataset({"y": numeric_column(y), "g": categorical_column(list("ababa"))})
+        with pytest.raises(ResponseOverflow) as exc:
+            build_design(parse_formula("y ~ g"), data)
+        assert exc.value.name == "y"
+
+    def test_unknown_reference_level_before_a_non_finite_response(self):
+        data = read_csv_text("y,g\n1.5,a\n2.5,b\n1e500,a\n4.5,b\n")
+        with pytest.raises(UnknownLevel) as exc:
+            build_design(parse_formula("y ~ g"), data, refs={"g": "zzz"})
+        assert (exc.value.variable, exc.value.level) == ("g", "zzz")
+
+    def test_non_finite_response_before_a_single_level(self):
+        data = read_csv_text("y,g\n1.5,a\n1e500,a\n4.5,a\n")
+        with pytest.raises(NonFiniteValue) as exc:
+            build_design(parse_formula("y ~ g"), data)
+        assert (exc.value.name, exc.value.row) == ("y", 1)
+
     def test_infinite_label_and_missing_value_precedence(self):
         data = read_csv_text("y,x,z\n1,1e500,1\n2,2,NA\n3,-1e500,1\n4,2,1\n")
         design = build_design(parse_formula("y ~ cat(x)"), data)
@@ -453,11 +475,12 @@ class TestDesignMatrix:
         index = rng.integers(0, m, 2 * m + _ROW_BLOCK + 3)
         weights = rng.integers(-8, 8, index.size).astype(np.float64)
         index.flags.writeable = weights.flags.writeable = False
-        counts, sums = _bincount_blocks(index, m, weights)
+        counts = _bincount_blocks(index, m)
         assert counts.dtype == np.intp
         assert np.array_equal(counts, np.bincount(index, minlength=m))
+        sums = _bincount_blocks(index, m, weights)
+        assert sums.dtype == np.float64
         assert np.array_equal(sums, np.bincount(index, weights, minlength=m))
-        assert _bincount_blocks(index, m)[1] is None
 
     def test_a_crossing_of_60_patterns_gets_an_int8_index(self):
         rng = np.random.default_rng(0)
@@ -472,13 +495,14 @@ class TestDesignMatrix:
         assert np.array_equal(design.cell_index, expected)
 
     @pytest.mark.parametrize("case, seeded", [
-        ("counted", True), ("compacted", True), ("sorted", False), ("distinct", True),
+        ("counted", True), ("compacted", True), ("sorted", True), ("distinct", True),
     ])
     def test_cell_sums_are_the_response_summed_by_pattern(self, case, seeded):
         # Each way build_design numbers the patterns: counting a key that
         # fills its range, counting one with unoccupied keys, sorting a
-        # key wider than 4n (whose sums are made on first read), and the
-        # identity index of n distinct values.
+        # key wider than 4n, and the identity index of n distinct values.
+        # build_design seeds the sums on every path; a hand-built design
+        # makes them on first read.
         rng = np.random.default_rng(1)
         n = 1000
         a = rng.integers(0, 4, n)
@@ -499,6 +523,7 @@ class TestDesignMatrix:
             assert m < 16
         hand_built = DesignMatrix(design.cell_table, design.labels, design.response,
                                   cell_index=design.cell_index)
+        assert "cell_sums" not in hand_built.__dict__
         assert np.array_equal(hand_built.cell_sums, expected)
 
 
@@ -693,10 +718,9 @@ class TestCountedKeys:
         assert (_counted_unique(values) is not None) == (name in self.COUNTED)
         columns = {"g": CategoricalColumn(("p", "q"), np.arange(n) % 2),
                    "x": NumericColumn(values)}
-        y = np.linspace(-1.0, 2.0, n)
-        counted = _occupied_cells(columns, y)
+        counted = _occupied_cells(columns, n)
         with mock.patch.object(encode, "_counted_unique", lambda values: None):
-            by_sort = _occupied_cells(columns, y)
+            by_sort = _occupied_cells(columns, n)
         for got, want in zip(counted[0].values(), by_sort[0].values()):
             if isinstance(want, CategoricalColumn):
                 assert got.codes.tolist() == want.codes.tolist()
@@ -704,7 +728,7 @@ class TestCountedKeys:
                 assert got.values.tobytes() == want.values.tobytes()
         for got, want in zip(counted[1:], by_sort[1:]):
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert np.array_equal(counted[3], np.bincount(counted[1], y))
+        assert np.array_equal(counted[2], np.bincount(counted[1]))
         if name != "nan":
             column = _numeric_as_categorical(values)
             levels, codes = np.unique(values, return_inverse=True)
@@ -1049,16 +1073,13 @@ class TestPatternKey:
             columns = {name: columns[name] for name in names}
         before = {name: np.array(c.codes) for name, c in columns.items()
                   if isinstance(c, CategoricalColumn)}
-        y = rng.normal(size=self.N)
-        patterns, index, counts, sums = _occupied_cells(columns, y)
+        patterns, index, counts = _occupied_cells(columns, self.N)
         digits = pattern_digits(columns)
         unique, inverse, expected = np.unique(digits, axis=1, return_inverse=True,
                                               return_counts=True)
         assert index.dtype == _code_dtype(len(counts))
         assert np.array_equal(index, inverse.reshape(-1))
         assert np.array_equal(counts, expected)
-        # None when the key was numbered by sorting.
-        assert sums is None or np.array_equal(sums, np.bincount(index, y))
         assert np.array_equal(pattern_digits(patterns), unique)
         for name, codes in before.items():
             assert np.array_equal(columns[name].codes, codes)

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from fractions import Fraction
 import tracemalloc
 from unittest import mock
@@ -48,6 +49,7 @@ from dummyreg.errors import (
 )
 from dummyreg.solve import FitResult
 from util import (
+    dataset_csv,
     exact_ols,
     interaction_design,
     random_one_factor,
@@ -708,6 +710,18 @@ class TestNonFinite:
             fit(design)
         assert (exc.value.name, exc.value.row) == ("y", 3)
 
+    def test_opposite_infinities_raise_without_a_warning(self):
+        # Pattern sums of +inf and -inf add to NaN, with numpy's "invalid
+        # value" warning, unless they are tested before they are added.
+        design = DesignMatrix([[1.0, 0.0], [1.0, 1.0]], simple_labels(["a", "b"]),
+                              [np.inf, 1.0, -np.inf, 2.0, 3.0, 4.0],
+                              cell_index=[0, 0, 1, 1, 0, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue) as exc:
+                fit(design)
+        assert (exc.value.name, exc.value.row) == ("y", 0)
+
     def test_unused_table_row_is_named_itself(self):
         table = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, np.nan], [1.0, 2.0]])
         index = np.array([0, 1, 3, 0, 1, 3])
@@ -1073,6 +1087,33 @@ class TestRelations:
         with mock.patch.object(encode, "_ROW_BLOCK", 7), \
                 mock.patch.object(solve, "_QR_BLOCK_ROWS", 7):
             assert_same_fit(fit(build_design(ast, data, scheme)), base)
+
+    @settings(max_examples=50, deadline=None)
+    @given(relation_cases())
+    def test_levels_renamed_by_a_bijection_keep_the_fit(self, case):
+        # Through the reader: each level gets a name of more than 8 bytes,
+        # which the reader keys as a string, not a uint64. The new names
+        # sort in the reverse of first appearance, so a reader that
+        # numbered levels in any order but first appearance would move a
+        # reference level. cat(k)'s levels keep their names.
+        data, ast, scheme = case
+        renamed, rename = dict(data.columns), {}
+        for name, column in data.columns.items():
+            if isinstance(column, CategoricalColumn):
+                k = len(column.levels)
+                levels = tuple(f"{name}-level-number-{k - i}" for i in range(k))
+                rename.update(((name, old), new)
+                              for old, new in zip(column.levels, levels))
+                renamed[name] = CategoricalColumn(levels, column.codes, pinned=True)
+        base, result = (fit(build_design(ast, read_csv_text(dataset_csv(d)), scheme))
+                        for d in (data, Dataset(renamed)))
+        for name in ("coefficients", "stderr"):
+            assert np.array_equal(getattr(result, name), getattr(base, name))
+        assert (result.rss, result.r_squared) == (base.rss, base.r_squared)
+        assert [label.text for label in result.labels] == [
+            re.sub(r"(\w+)\[([^]]*)\]",
+                   lambda m: f"{m[1]}[{rename.get((m[1], m[2]), m[2])}]", label.text)
+            for label in base.labels]
 
 
 class TestPValues:
