@@ -10,6 +10,7 @@ row's pattern.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -85,6 +86,29 @@ class DesignInfo:
     categoricals: dict[str, CategoricalInfo] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class CellMoments:
+    """The response read by pattern in one pass over its rows
+    (_response_moments). ``means`` holds each table row's mean of y, 0
+    where no data row uses it. The rest are of y scaled exactly by
+    2**scale: ``shifts`` holds each pattern's shift, the y of one of its
+    rows, or its mean where that row lay far from it (0 where unused),
+    ``offsets`` each mean less its shift, and
+    ``within`` the within-pattern sum of squares, the n rows' squared
+    deviations from their pattern's mean. scale is 0 unless those
+    squares overflowed or underflowed. The arrays are read-only."""
+
+    means: np.ndarray
+    shifts: np.ndarray
+    offsets: np.ndarray
+    within: float
+    scale: int
+
+    def __post_init__(self):
+        for values in (self.means, self.shifts, self.offsets):
+            values.flags.writeable = False
+
+
 @dataclass(frozen=True, init=False)
 class DesignMatrix:
     """The n x p design as a table of rows plus an index into it.
@@ -151,10 +175,13 @@ class DesignMatrix:
         return _seed(self, "cell_counts", counts)
 
     @cached_property
-    def cell_sums(self) -> np.ndarray:
-        """The response's sum over each table row's data rows, read-only."""
-        sums = _bincount_blocks(self.cell_index, len(self.cell_table), self.response)
-        return _seed(self, "cell_sums", sums)
+    def cell_moments(self) -> CellMoments:
+        """The response's pattern moments, each pattern shifted by the y
+        of one of its rows (_response_moments)."""
+        shifts = np.zeros(len(self.cell_table))
+        shifts[self.cell_index] = self.response
+        return _response_moments(self.cell_index, self.cell_counts, self.response,
+                                 shifts)
 
     @property
     def n_rows(self) -> int:
@@ -397,47 +424,138 @@ _KEY_SPAN = 4
 # Rows that an n-row pass takes at a time, so that the pattern key is
 # rewritten in place and each pass's temporaries stay in cache. On 1e6
 # rows renumbering took 5.6 ms against 9.0 ms for whole-array gathers
-# (numpy 2.4). solve.fit reads the response by the same blocks.
+# (numpy 2.4). The response's pass takes the same blocks.
 _ROW_BLOCK = 1 << 16
 
+# A sum of squares below this may hold squares that underflowed: with
+# n < 2^30 rows, squares below 2^-1022 sum to under 2^-992, below an ulp
+# of it.
+_SQUARES_FLOOR = 2.0 ** -900
 
-def _row_blocks(n: int, step: int | None = None):
-    """Slices of step rows, _ROW_BLOCK unless given, that cover range(n)."""
+
+def _index_blocks(index: np.ndarray, step: int | None = None):
+    """(rows, index[rows] as intp) for each slice of step rows,
+    _ROW_BLOCK unless given, that covers the index, each block cast into
+    one buffer that the pass reuses, so that no block allocates. A block
+    is overwritten by the next one."""
     step = step or _ROW_BLOCK
-    return (slice(start, start + step) for start in range(0, n, step))
+    buffer = np.empty(min(step, index.size), dtype=np.intp)
+    for start in range(0, index.size, step):
+        rows = slice(start, start + step)
+        piece = index[rows]
+        block = buffer[:piece.size]
+        block[...] = piece
+        yield rows, block
 
 
-def _bincount_blocks(index: np.ndarray, m: int,
-                     weights: np.ndarray | None = None) -> np.ndarray:
-    """np.bincount(index, minlength=m), or, given weights,
-    np.bincount(index, weights, minlength=m): taken over slices of
-    max(_ROW_BLOCK, m) rows, from one intp copy of each slice of the
-    index, and added in block order.
+def _bincount_blocks(index: np.ndarray, m: int) -> np.ndarray:
+    """np.bincount(index, minlength=m), taken over slices of
+    max(_ROW_BLOCK, m) rows, each cast to intp in one reused buffer
+    (_index_blocks), and added in block order.
 
-    np.bincount copies an index that is read-only or not intp, and
-    read-only weights, whole; a block's copy stays in cache. On 1e6 rows
-    of an int8 index and read-only weights, blocks took 3.6 ms against
-    6.4 ms for the sums (numpy 2.4). A block is never shorter than m, so
-    adding up the blocks' m-row sums costs O(n), and m >= n is one whole
-    np.bincount. Summed by blocks, the error of a weighted sum grows
-    with the block count and length, not with n.
+    np.bincount copies an index that is read-only or not intp whole; a
+    block's copy stays in cache. On 1e6 rows of a read-only int8 index,
+    blocks took 2.15 ms against 2.4 ms whole (numpy 2.4). A block is
+    never shorter than m, so adding up the blocks' m counts costs O(n),
+    and m >= n is one whole np.bincount.
     """
-    out = np.zeros(m, dtype=np.intp if weights is None else np.float64)
-    for rows in _row_blocks(len(index), max(_ROW_BLOCK, m)):
-        block = index[rows].astype(np.intp)
-        out += np.bincount(block, None if weights is None else weights[rows],
-                           minlength=m)
+    out = np.zeros(m, dtype=np.intp)
+    for _, block in _index_blocks(index, max(_ROW_BLOCK, m)):
+        out += np.bincount(block, minlength=m)
     return out
 
 
-def _check_response(name: str, response: np.ndarray, sums: np.ndarray) -> None:
-    """The one check of a design's response, read from its pattern sums:
-    a value that is not finite makes its pattern's sum not finite, and
-    raises NonFiniteValue naming its row by dataset._first_row; finite
-    values whose sum overflows raise ResponseOverflow. The sums are
-    tested before they are added, so +inf and -inf sums add to no NaN."""
-    with np.errstate(over="ignore"):  # an overflow is inf
-        if np.isfinite(sums).all() and np.isfinite(sums.sum()):
+def _shifted_pass(
+    index: np.ndarray, counts: np.ndarray, response: np.ndarray, shifts: np.ndarray,
+    scale: int = 0,
+) -> tuple[np.ndarray, float, float]:
+    """Each pattern's offset, its rows' mean deviation from its shift,
+    the within-pattern sum of squares, and the total of the squared
+    deviations that it is taken from, of y scaled exactly by 2**scale
+    (shifts are given at that scale). One pass of max(_ROW_BLOCK, m)
+    rows at a time, into buffers it reuses, so that no n-row array is
+    written: the deviations are summed by np.bincount, and their squares
+    by einsum, not a BLAS dot, whose sum order, and so its last bits,
+    follow the thread count. The within total is the squares' total
+    less each pattern's squared deviation sum over its count."""
+    m = counts.size
+    sums, squares = np.zeros(m), 0.0
+    step = max(_ROW_BLOCK, m)
+    buffer = np.empty(min(step, response.size))
+    for rows, block in _index_blocks(index, step):
+        deviations = buffer[:block.size]
+        # The index is in range; mode "raise" would buffer the output.
+        shifts.take(block, out=deviations, mode="clip")
+        y = np.ldexp(response[rows], scale) if scale else response[rows]
+        np.subtract(y, deviations, out=deviations)
+        sums += np.bincount(block, deviations, minlength=m)
+        squares += float(np.einsum("i,i->", deviations, deviations))
+    offsets = sums / np.maximum(counts, 1)
+    return offsets, squares - float(np.einsum("i,i->", offsets, sums)), squares
+
+
+# A within total below 1/_SHIFT_SLACK of the squares it is taken from
+# has lost over 4 bits to cancellation: some pattern's shift lay far
+# from its mean. On 1e6 rows of one pattern with the shift 1e3 standard
+# deviations out, the total was 1.6e-9 off.
+_SHIFT_SLACK = 16
+
+
+def _response_moments(index: np.ndarray, counts: np.ndarray, response: np.ndarray,
+                      shifts: np.ndarray) -> CellMoments:
+    """The response's moments by pattern (CellMoments), from one pass
+    over the n rows (_shifted_pass) that sums each row's deviation from
+    its pattern's shift, a y of that pattern, and the squares of those
+    deviations. This is the shifted-data algorithm (Chan, Golub &
+    LeVeque, Am. Stat. 37(3), 1983): summed about one of its own rows, a
+    pattern's sum carries no error from the size of y, only from its
+    spread, and its mean is the shift plus the deviations' mean.
+
+    When each pattern has one row, no pass runs: its mean is its shift,
+    and the within total is 0, so the means of the identity index are
+    the response itself. Two cases take the pass again. Squares that
+    overflowed, or whose total is below _SQUARES_FLOOR, where they may
+    have underflowed, are summed again from y scaled by a power of two
+    to about unit size. A within total that cancelled (_SHIFT_SLACK) is
+    taken again about the means the first pass found. Only such a
+    response, or one constant within each pattern, pays for another
+    pass. A value that is not finite makes its pattern's mean not
+    finite, for _check_response to name.
+    """
+    m = counts.size
+    if m == response.size and counts.max(initial=0) <= 1:
+        return CellMoments(shifts, shifts, np.broadcast_to(np.float64(0.0), (m,)),
+                           0.0, 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf
+        offsets, within, squares = _shifted_pass(index, counts, response, shifts)
+        scale = 0
+        if not _SQUARES_FLOOR <= squares < math.inf and np.isfinite(response).all():
+            size = max(abs(float(response.min())), abs(float(response.max())))
+            scale = -math.frexp(size)[1]
+            shifts = np.ldexp(shifts, scale)
+            offsets, within, squares = _shifted_pass(index, counts, response, shifts,
+                                                     scale)
+        if squares > _SHIFT_SLACK * within:
+            shifts = shifts + offsets
+            offsets, within, squares = _shifted_pass(index, counts, response, shifts,
+                                                     scale)
+        means = shifts + offsets
+        if scale:
+            means = np.ldexp(means, -scale)
+    return CellMoments(means, shifts, offsets, max(within, 0.0), scale)
+
+
+def _check_response(name: str, response: np.ndarray, means: np.ndarray,
+                    counts: np.ndarray) -> None:
+    """The one check of a design's response, read from its pattern
+    means: a value that is not finite makes its pattern's mean not
+    finite, and raises NonFiniteValue naming its row by
+    dataset._first_row; finite values whose pattern sum (count times
+    mean) or whose total overflows raise ResponseOverflow. The total is
+    one einsum, so +inf and -inf patterns add to NaN without a
+    warning."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf
+        if np.isfinite(np.einsum("i,i->", means, counts)):
             return
     finite = np.isfinite(response)
     if finite.all():
@@ -482,14 +600,14 @@ def _compact(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     lookup = np.empty(size, dtype=_code_dtype(occupied.size))
     lookup[occupied] = np.arange(occupied.size)
     out = key if key.flags.writeable else np.empty(key.size, dtype=lookup.dtype)
-    for rows in _row_blocks(key.size):  # take on an intp index, as fit reads
-        out[rows] = lookup.take(key[rows].astype(np.intp))
+    for rows, block in _index_blocks(key):  # take on an intp index
+        out[rows] = lookup.take(block)
     return out, counts[occupied]
 
 
 def _occupied_cells(
     columns: Mapping[str, Column], n: int
-) -> tuple[Mapping[str, Column], np.ndarray, np.ndarray]:
+) -> tuple[Mapping[str, Column], np.ndarray, np.ndarray, np.ndarray | slice]:
     """The rows to encode, one per occupied covariate pattern.
 
     ``columns`` holds every formula variable, n rows each, as the
@@ -505,9 +623,10 @@ def _occupied_cells(
     values are whole and narrow in range (_counted_unique), else by
     sorting. Returns the columns to encode (each pattern's values, from
     one of its rows), the n-row pattern index, in the narrowest integer
-    type that holds m (as categorical codes are) and the m patterns' row
-    counts; a numeric column of n distinct values gives the columns as
-    given, arange(n) and n ones.
+    type that holds m (as categorical codes are), the m patterns' row
+    counts and the row that each pattern was read from; a numeric column
+    of n distinct values gives the columns as given, arange(n), n ones
+    and slice(None), which reads every row in place.
     """
     key, size = None, 1
     for column in columns.values():
@@ -519,7 +638,7 @@ def _occupied_cells(
             digit, k = digit.reshape(-1), distinct.size
             if k == n:
                 return (columns, np.arange(n, dtype=_code_dtype(n)),
-                        np.ones(n, dtype=np.intp))
+                        np.ones(n, dtype=np.intp), slice(None))
         if size == 1:  # a key of one value folds to the digit itself
             key, size = digit, k
             continue
@@ -554,7 +673,7 @@ def _occupied_cells(
             patterns[name] = CategoricalColumn(column.levels, column.codes[first])
         else:
             patterns[name] = NumericColumn(column.values[first])
-    return patterns, key, counts
+    return patterns, key, counts, first
 
 
 def build_design(
@@ -567,12 +686,15 @@ def build_design(
 
     Column order: intercept, main-effect terms in formula order, then
     interaction terms in formula order. Callers must remove missing
-    values first (see dataset.listwise_delete). The response's pattern
-    sums are taken in one pass once the rows are keyed, and seeded on
-    the design; ±inf in the response, or a sum that overflows, raises
-    there (_check_response), after the references and schemes resolve
-    and before any encoding error. ±inf in a variable used as a number
-    raises only when apply_transform encodes it.
+    values first (see dataset.listwise_delete). The response is read
+    once, once the rows are keyed: each pattern is shifted by the y of
+    the row its table row is read from, and its mean and the
+    within-pattern sum of squares are taken in one pass
+    (_response_moments) and seeded on the design; ±inf in the response,
+    or a sum that overflows, raises there (_check_response), after the
+    references and schemes resolve and before any encoding error. ±inf
+    in a variable used as a number raises only when apply_transform
+    encodes it.
     """
     if not ast.intercept:
         raise InterceptRequired()
@@ -596,9 +718,9 @@ def build_design(
         if name in ast.variables() and name not in categoricals:
             raise NotCategorical(name)
     response = response_col.values
-    columns, cell, counts = _occupied_cells(columns, response.size)
-    sums = _bincount_blocks(cell, counts.size, response)
-    _check_response(ast.response, response, sums)
+    columns, cell, counts, first = _occupied_cells(columns, response.size)
+    moments = _response_moments(cell, counts, response, response[first])
+    _check_response(ast.response, response, moments.means, counts)
     for term in ast.terms:
         if term.kind != "interaction":
             continue
@@ -617,7 +739,7 @@ def build_design(
     info = DesignInfo(ast, categoricals)
     design = DesignMatrix(table, labels, response, ast.response, info, cell_index=cell)
     _seed(design, "cell_counts", counts)
-    _seed(design, "cell_sums", sums)
+    design.__dict__["cell_moments"] = moments
     return design
 
 

@@ -19,7 +19,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import _first_row, _frozen, _seed
-from .encode import DesignMatrix, _check_response, _row_blocks, profile_row
+from .encode import (
+    _SQUARES_FLOOR, CellMoments, DesignMatrix, _check_response, _index_blocks,
+    profile_row,
+)
 from .errors import (
     DimensionMismatch,
     NonFiniteValue,
@@ -30,10 +33,6 @@ from .errors import (
 
 RANK_TOL = 1e-10
 _QR_BLOCK_ROWS = 16384
-
-# A TSS below this may hold squares that underflowed: with n < 2^30 rows,
-# squares below 2^-1022 sum to under 2^-992, which is below an ulp of it.
-_SQUARES_FLOOR = 2.0 ** -900
 
 
 @dataclass(frozen=True)
@@ -62,24 +61,32 @@ class FitResult:
 
     @cached_property
     def _squares(self) -> tuple[float, float, float]:
-        """RSS, R^2 and sigma, from one pass over the n rows that sums
-        RSS and the total sum of squares about the mean of the pattern
-        sums. Both are summed again from y scaled, exactly, to about
+        """RSS, R^2 and sigma, from the design's pattern moments and
+        r[p, p], m values and no row: RSS is the within-pattern sum of
+        squares plus r[p, p]^2, TSS that sum plus the sum of squares
+        between patterns (_squares_from_moments). Both are taken again
+        at a power-of-two scale that brings the pattern values to about
         unit size when either may hold squares that underflowed or
-        overflowed. The shift is taken back out of RSS and of the
+        overflowed; a response whose own squares did is rescaled in the
+        design's pass. The scale is taken back out of RSS and of the
         residual norm, its root, that sigma is read from: so sigma stays
         finite and nonzero where RSS overflows or underflows."""
-        y, cell, n = self.design.response, self.design.cell_index, self.design.n_rows
-        mean = float(self.design.cell_sums.sum()) / n
-        rss, tss = _sums_of_squares(y, cell, self.cell_fitted, mean)
+        moments, counts = self.design.cell_moments, self.design.cell_counts
+        # Row 0's pattern shift, a value near the data, is the reference.
+        args = (moments, counts, float(self.r[-1, -1]),
+                float(moments.shifts[self.design.cell_index[0]]))
+        rss, tss = _squares_from_moments(*args)
         shift = 0
         if not (_SQUARES_FLOOR <= rss < math.inf and _SQUARES_FLOOR <= tss < math.inf):
-            shift = -math.frexp(max(abs(float(y.min())), abs(float(y.max()))))[1]
-            rss, tss = _sums_of_squares(y, cell, self.cell_fitted, mean, shift=shift)
+            size = max(float(np.abs(moments.shifts).max()),
+                       float(np.abs(moments.offsets).max()))
+            shift = -math.frexp(size)[1]
+            rss, tss = _squares_from_moments(*args, shift=shift)
         r_squared = 0.0 if tss == 0 else min(max(1.0 - rss / tss, 0.0), 1.0)
+        scale = moments.scale + shift
         with np.errstate(over="ignore", under="ignore"):
-            norm = float(np.ldexp(math.sqrt(rss), -shift))
-            rss = float(np.ldexp(rss, -2 * shift))
+            norm = float(np.ldexp(math.sqrt(rss), -scale))
+            rss = float(np.ldexp(rss, -2 * scale))
         return rss, r_squared, norm / math.sqrt(self.df_residual)
 
     @cached_property
@@ -119,10 +126,10 @@ class FitResult:
     @cached_property
     def fitted(self) -> np.ndarray:
         """The n fitted values, read-only."""
-        cell = self.design.cell_index
-        out = np.empty(len(cell))
-        for rows in _row_blocks(len(out)):
-            self.cell_fitted.take(cell[rows].astype(np.intp), out=out[rows])
+        out = np.empty(self.design.n_rows)
+        for rows, block in _index_blocks(self.design.cell_index):
+            # The index is in range; mode "raise" would buffer the output.
+            self.cell_fitted.take(block, out=out[rows], mode="clip")
         return _seed(self, "fitted", out)
 
     @cached_property
@@ -161,41 +168,43 @@ def fit(design: DesignMatrix) -> FitResult:
     The design is solved from per-pattern sufficient statistics: the
     rows of ``sqrt(count) * [table row | pattern mean]`` have the same
     normal equations as the n x p problem, and are its rows when each
-    pattern has one row. The pattern sums are the design's cell_sums.
-    That matrix is reduced to its (p+1)-square R factor without forming
-    Q, so r[p, p] is the residual norm of the pattern rows: the part of
-    the residual between patterns, all of it when each pattern has one
-    row. The rank test factors R's columns, scaled to unit norm, in
+    pattern has one row. The pattern means are the design's
+    cell_moments, which build_design takes in its one pass over the
+    response (a hand-built design takes them here). That matrix is
+    reduced to its (p+1)-square R factor without forming Q, so r[p, p]
+    is the residual norm of the pattern rows: the part of the residual
+    between patterns, all of it when each pattern has one row, which
+    the result adds to the design's within-pattern sum of squares for
+    RSS. The rank test factors R's columns, scaled to unit norm, in
     formula order: a column closer than RANK_TOL to the span of the
-    earlier columns kept is dependent, whatever its scale. fit reads no
-    n-row array of a design whose pattern sums are known; the result
-    derives its estimates and its statistics. A non-finite table value
-    raises NonFiniteValue, naming the first data row on that table row,
-    or the table row itself when no data row uses it. The response is
-    checked on the pattern sums by the check that build_design makes
-    (encode._check_response), for a hand-built design too: a non-finite
-    value raises NonFiniteValue naming its own row, and a finite
-    response whose sum overflows raises ResponseOverflow.
+    earlier columns kept is dependent, whatever its scale. Neither fit
+    nor any statistic of its result reads an n-row array of a design
+    whose moments are known; only the fitted values and residuals do. A
+    non-finite table value raises NonFiniteValue, naming the first data
+    row on that table row, or the table row itself when no data row
+    uses it. The response is checked on the pattern means by the check
+    that build_design makes (encode._check_response), for a hand-built
+    design too: a non-finite value raises NonFiniteValue naming its own
+    row, and a finite response whose pattern sum or total overflows
+    raises ResponseOverflow.
     """
     table, cell = design.cell_table, design.cell_index
     n, p = design.n_rows, design.n_cols
     if n <= p:
         raise TooFewRows(n, p)
 
-    counts, sums = design.cell_counts, design.cell_sums
-    _check_response(design.response_name, design.response, sums)
+    counts, means = design.cell_counts, design.cell_moments.means
+    _check_response(design.response_name, design.response, means, counts)
     if not np.isfinite(table).all():
         j = int(np.argmax(~np.isfinite(table).all(axis=0)))
         bad = ~np.isfinite(table[:, j])
         raise NonFiniteValue(design.labels[j].text, _first_row(bad, cell))
     weight = np.sqrt(counts)
-    # A table row that no data row uses gets weight 0, not 0/0.
-    target = sums / np.maximum(counts, 1)
     # R is carried from block to block, so no temporary outgrows a block.
     top = np.zeros((0, p + 1))
     for start in range(0, len(table), _QR_BLOCK_ROWS):
         rows = slice(start, start + _QR_BLOCK_ROWS)
-        block = np.column_stack([table[rows], target[rows]]) * weight[rows, None]
+        block = np.column_stack([table[rows], means[rows]]) * weight[rows, None]
         top = np.linalg.qr(np.vstack([top, block]), mode="r")
     r = np.zeros((p + 1, p + 1))
     r[:len(top)] = top
@@ -207,30 +216,36 @@ def fit(design: DesignMatrix) -> FitResult:
     return FitResult(design, r)
 
 
-def _sums_of_squares(y, cell, cell_fitted, mean: float,
-                     shift: int = 0) -> tuple[float, float]:
-    """RSS about cell_fitted[cell] and TSS about mean, with every value
-    scaled exactly by 2**shift, a block of y at a time, so that no n-row
-    array is written.
+def _squares_from_moments(moments: CellMoments, counts: np.ndarray, r_end: float,
+                          reference: float, shift: int = 0) -> tuple[float, float]:
+    """RSS and TSS of y scaled exactly by 2**(moments.scale + shift),
+    from the m pattern moments and r_end = r[p, p], the residual norm of
+    the pattern rows.
 
-    einsum, not a BLAS dot, whose sum order, and so its last bits,
-    follow the thread count. mean, from the pattern sums, can be further
-    off than y.mean(); the centred values' sum, `drift`, takes that
-    error back out (the corrected two-pass formula). A constant
-    response's centred values are one few-ulp number, so its TSS is 0.
+    RSS is the within-pattern sum of squares plus r_end^2. TSS is that
+    sum plus the between-pattern sum, taken from each pattern's shift
+    less ``reference`` (a shift at the moments' scale) plus its offset:
+    a difference of two values near the data, exact when they are
+    within a factor of 2, so the size of y adds no error where the
+    rounded means would. The
+    deviations' own weighted sum takes the rounding of their mean back
+    out (the corrected two-pass formula), so a constant response has
+    TSS 0. einsum, not a BLAS dot, whose sum order, and so its last
+    bits, follow the thread count.
     """
-    cell_fitted, mean = np.ldexp(cell_fitted, shift), math.ldexp(mean, shift)
-    rss = tss = drift = 0.0
-    for rows in _row_blocks(len(y)):
-        block = np.ldexp(y[rows], shift) if shift else y[rows]
-        # take on an intp index: for 64 K int8 entries the cast and take
-        # ran in 76 us, cell_fitted[cell[rows]] in 228 us (numpy 2.4).
-        residuals = block - cell_fitted.take(cell[rows].astype(np.intp))
-        rss += float(np.einsum("i,i->", residuals, residuals))
-        centred = block - mean
-        drift += float(centred.sum())
-        tss += float(np.einsum("i,i->", centred, centred))
-    return rss, tss - drift * drift / len(y)
+    n = int(counts.sum())
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        within = float(np.ldexp(moments.within, 2 * shift))
+        r_end = float(np.ldexp(r_end, moments.scale + shift))
+        shifts, offsets = moments.shifts, moments.offsets
+        if shift:
+            shifts, offsets = np.ldexp(shifts, shift), np.ldexp(offsets, shift)
+            reference = float(np.ldexp(reference, shift))
+        deviations = (shifts - reference) + offsets
+        centred = deviations - float(np.einsum("i,i->", counts, deviations)) / n
+        drift = float(np.einsum("i,i->", counts, centred))
+        between = float(np.einsum("i,i,i->", counts, centred, centred))
+    return within + r_end * r_end, within + between - drift * drift / n
 
 
 # --- Student-t CDF via the regularized incomplete beta function -------

@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL line (visible under pytest -s) and then
 asserts, so a plain pytest run enforces the same bounds.
 """
 
+import math
 import time
 
 import numpy as np
@@ -128,11 +129,13 @@ def test_07_t_cdf_accuracy():
 
 def test_08_one_tailed_halving():
     # Coefficients (10, -1.3), each with SE 1 at df 10: an identity R,
-    # and residuals of +-1 on 10 of 12 rows and 0 on 2, so RSS is 10.
+    # and residuals of +-1 on 10 of 12 rows and 0 on 2, so RSS is 10,
+    # the square of r[p, p], the residual norm of the rows.
     b = np.arange(12) % 2
     y = 10.0 - 1.3 * b + np.array([1.0, -1.0] * 5 + [0.0, 0.0])
     design = DesignMatrix(np.column_stack([np.ones(12), b]), simple_labels(["a", "b"]), y)
-    result = FitResult(design, [[1.0, 0.0, 10.0], [0.0, 1.0, -1.3], [0.0, 0.0, 0.0]])
+    result = FitResult(design, [[1.0, 0.0, 10.0], [0.0, 1.0, -1.3],
+                                [0.0, 0.0, math.sqrt(10.0)]])
     p_two = two_tailed_p(1.3, 10)
     err = abs(one_tailed_p(result, "b", "less") - p_two / 2)
     _line(8, err < 1e-12, f"one-tailed p from two-tailed {p_two:.4f}: err {err:.2e}")

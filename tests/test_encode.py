@@ -2,7 +2,9 @@
 
 import math
 import re
+import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -469,18 +471,13 @@ class TestDesignMatrix:
 
     @pytest.mark.parametrize("m", [60, _ROW_BLOCK + 7])
     def test_block_sums_match_one_bincount(self, m):
-        # m past _ROW_BLOCK makes the blocks m rows long. The weights
-        # are small integers, so every order of adding them is exact.
+        # m past _ROW_BLOCK makes the blocks m rows long.
         rng = np.random.default_rng(m)
         index = rng.integers(0, m, 2 * m + _ROW_BLOCK + 3)
-        weights = rng.integers(-8, 8, index.size).astype(np.float64)
-        index.flags.writeable = weights.flags.writeable = False
+        index.flags.writeable = False
         counts = _bincount_blocks(index, m)
         assert counts.dtype == np.intp
         assert np.array_equal(counts, np.bincount(index, minlength=m))
-        sums = _bincount_blocks(index, m, weights)
-        assert sums.dtype == np.float64
-        assert np.array_equal(sums, np.bincount(index, weights, minlength=m))
 
     def test_a_crossing_of_60_patterns_gets_an_int8_index(self):
         rng = np.random.default_rng(0)
@@ -501,8 +498,10 @@ class TestDesignMatrix:
         # Each way build_design numbers the patterns: counting a key that
         # fills its range, counting one with unoccupied keys, sorting a
         # key wider than 4n, and the identity index of n distinct values.
-        # build_design seeds the sums on every path; a hand-built design
-        # makes them on first read.
+        # build_design seeds the pattern moments on every path; a
+        # hand-built design makes them on first read. Each pattern's sum,
+        # its count times its mean, is the response summed by pattern,
+        # and the within total is the rows' squares about their means.
         rng = np.random.default_rng(1)
         n = 1000
         a = rng.integers(0, 4, n)
@@ -514,17 +513,97 @@ class TestDesignMatrix:
                         "x": numeric_column(x + 0.5)})
         formula = "y ~ a*cat(x)" if case == "compacted" else "y ~ a + b + x"
         design = build_design(parse_formula(formula), data)
-        assert ("cell_sums" in design.__dict__) == seeded
-        m = len(design.cell_table)
-        expected = np.bincount(design.cell_index, design.response, minlength=m)
-        assert np.array_equal(design.cell_sums, expected)
-        assert not design.cell_sums.flags.writeable
+        assert ("cell_moments" in design.__dict__) == seeded
+        m, cell, y = len(design.cell_table), design.cell_index, design.response
+        counts = np.bincount(cell, minlength=m)
+        means = np.bincount(cell, y, minlength=m) / counts
+        within = float(((y - means[cell]) ** 2).sum())
         if case == "compacted":
             assert m < 16
-        hand_built = DesignMatrix(design.cell_table, design.labels, design.response,
-                                  cell_index=design.cell_index)
-        assert "cell_sums" not in hand_built.__dict__
-        assert np.array_equal(hand_built.cell_sums, expected)
+        hand_built = DesignMatrix(design.cell_table, design.labels, y, cell_index=cell)
+        assert "cell_moments" not in hand_built.__dict__
+        for moments in (design.cell_moments, hand_built.cell_moments):
+            # Both sums err by ~1e-16 per row of unit size.
+            assert np.abs(moments.means - means).max() <= 1e-14
+            assert moments.within == pytest.approx(within, rel=1e-13, abs=0.0)
+            assert moments.scale == 0
+            assert not moments.means.flags.writeable
+
+    def test_all_distinct_rows_read_no_response_pass(self):
+        # Each row its own pattern: the means are the response itself,
+        # and taking the moments writes no n-row array.
+        n = 200_000
+        rng = np.random.default_rng(5)
+        data = Dataset({"y": numeric_column(rng.normal(size=n)),
+                        "x": numeric_column(rng.permutation(n) + 0.5)})
+        design = build_design(parse_formula("y ~ x"), data)
+        moments = design.cell_moments
+        assert np.shares_memory(moments.means, design.response)
+        assert moments.within == 0.0 and not moments.offsets.any()
+        tracemalloc.start()
+        try:
+            again = encode._response_moments(design.cell_index, design.cell_counts,
+                                             design.response, design.response)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e4, peak
+        assert again.means is design.response
+
+
+class TestResponseMoments:
+    """The response's pattern moments are summed about a y of each
+    pattern, so their error does not grow with the size of y."""
+
+    @staticmethod
+    def exact_means(index, y, m):
+        """Each pattern's mean as a Fraction, exactly: each float64 is
+        split into its 53-bit integer mantissa's high and low halves,
+        whose sums by pattern and exponent np.bincount takes exactly."""
+        mantissa, exponent = np.frexp(y)
+        whole = (mantissa * 2.0**53).astype(np.int64)
+        exponent = exponent.astype(np.int64) - 53
+        low, span = int(exponent.min()), int(np.ptp(exponent)) + 1
+        key = index.astype(np.int64) * span + (exponent - low)
+        high_sums, low_sums = (
+            np.bincount(key, part.astype(np.float64), minlength=m * span)
+            .reshape(m, span) for part in (whole >> 27, whole & (2**27 - 1)))
+        counts = np.bincount(index, minlength=m)
+        return [sum((Fraction((int(h) << 27) + int(lo)) * Fraction(2) ** (e + low)
+                     for e, (h, lo) in enumerate(zip(high_sums[c], low_sums[c]))
+                     if h or lo), Fraction(0)) / int(counts[c])
+                for c in range(m)]
+
+    @pytest.mark.parametrize("n, outlier", [(100_000, 1e4), (1_000_000, 1e3)])
+    def test_a_shift_far_from_its_mean_keeps_the_within_total(self, n, outlier):
+        # Summed about a row 1e3-1e4 sd out, the squares' total is
+        # 1e5-1e6 times the within total and cancels to 1e-9 of it; the
+        # pass is taken again about the means it found.
+        y = np.random.default_rng(n).normal(size=n)
+        y[0] = outlier
+        index = np.zeros(n, dtype=np.int8)
+        moments = encode._response_moments(index, np.array([n]), y, y[:1].copy())
+        # Each square about the correctly rounded mean is within an ulp.
+        within = math.fsum((y - math.fsum(y) / n) ** 2)
+        assert moments.within == pytest.approx(within, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e8])
+    def test_pattern_means_at_an_offset(self, offset):
+        # y = offset + cell effect + N(0, 1) on 1e6 rows of 60 cells. At
+        # 1e4 and 1e8 each mean is within one ulp of the exact mean
+        # (summed without a shift they were 3-7 ulps off). At offset 0
+        # the means lie near 0, finer in ulps than any sum of the data
+        # can reach, so there the bound is 8 ulps of the noise's sd.
+        rng = np.random.default_rng(0)
+        n, m = 1_000_000, 60
+        index = rng.integers(0, m, n).astype(np.int8)
+        y = offset + (3.0 * rng.normal(size=m))[index] + rng.normal(size=n)
+        design = DesignMatrix(np.eye(m), simple_labels(map(str, range(m))), y,
+                              cell_index=index)
+        got = design.cell_moments.means
+        for value, exact in zip(got.tolist(), self.exact_means(index, y, m)):
+            ulp = max(np.spacing(abs(float(exact))), 8 * np.spacing(1.0))
+            assert abs(Fraction(value) - exact) <= Fraction(float(ulp)), (value, exact)
 
 
 class TestRelevel:
@@ -1073,7 +1152,7 @@ class TestPatternKey:
             columns = {name: columns[name] for name in names}
         before = {name: np.array(c.codes) for name, c in columns.items()
                   if isinstance(c, CategoricalColumn)}
-        patterns, index, counts = _occupied_cells(columns, self.N)
+        patterns, index, counts, _ = _occupied_cells(columns, self.N)
         digits = pattern_digits(columns)
         unique, inverse, expected = np.unique(digits, axis=1, return_inverse=True,
                                               return_counts=True)

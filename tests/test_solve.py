@@ -26,6 +26,7 @@ from dummyreg import (
     categorical_column,
     fit,
     linear_combination,
+    listwise_delete,
     numeric_column,
     one_tailed_p,
     parse_formula,
@@ -34,7 +35,7 @@ from dummyreg import (
     read_csv_text,
     simple_labels,
 )
-from dummyreg import encode, solve
+from dummyreg import dataset, encode, solve
 from dummyreg.dataset import _code_dtype
 from dummyreg.encode import _ROW_BLOCK
 from dummyreg.formula import SCHEMES
@@ -481,8 +482,8 @@ class TestPatternPath:
 
 
 class TestTotalSumOfSquares:
-    """fit sums TSS about the mean of the pattern sums, a block of rows
-    at a time."""
+    """TSS is the design's within-pattern sum of squares plus the sum
+    between patterns, each pattern taken from its shift."""
 
     @staticmethod
     def data(n, k, y_of, rng):
@@ -557,8 +558,8 @@ class TestTotalSumOfSquares:
 
 
 class TestRowPasses:
-    """fit reads the n rows in blocks and writes no n-row array; the
-    fitted values and residuals are made when first read."""
+    """build_design reads the n rows in blocks, and fit writes no n-row
+    array; the fitted values and residuals are made when first read."""
 
     @staticmethod
     def crossing(n):
@@ -569,8 +570,8 @@ class TestRowPasses:
                         "h": CategoricalColumn(tuple("xyz"), h)})
 
     def test_peak_allocation_does_not_grow_with_n(self):
-        # fit factors the pattern rows alone; the statistics' row pass
-        # reads the n rows in blocks.
+        # fit factors the pattern rows alone, and the statistics are read
+        # from the design's pattern moments: neither reads a row.
         fits, peaks = [], []
         for n in (200_000, 1_000_000):
             design = build_design(parse_formula("y ~ g*h"), self.crossing(n))
@@ -578,14 +579,13 @@ class TestRowPasses:
             try:
                 result = fit(design)
                 fits.append(tracemalloc.get_traced_memory()[1])
-                result.rss, result.stderr, result.r_squared
+                tracemalloc.reset_peak()
+                result.rss, result.r_squared, result.sigma, result.stderr
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert max(fits) < 1e5, fits
-        small, large = peaks
-        assert large < 3e6, peaks
-        assert abs(large - small) <= 0.1 * small, peaks
+        assert max(peaks) < 1e5, peaks
 
     def test_r_ends_in_the_residual_norm_of_the_pattern_rows(self):
         # r[p, p]^2 is RSS less the within-pattern sum of squares, and
@@ -620,7 +620,7 @@ class TestRowPasses:
            st.integers(min_value=0, max_value=2**32 - 1))
     def test_index_type_does_not_change_the_fit(self, m, q, extra, seed):
         # One design whose index is given in five integer types; past
-        # one block, the pattern sums and the RSS/TSS pass take blocks.
+        # one block, the counts and the response's pass take blocks.
         rng = np.random.default_rng(seed)
         p = min(q + 1, m)
         table = np.column_stack([np.ones(m), rng.normal(size=(m, p - 1))])
@@ -699,6 +699,19 @@ class TestNonFinite:
         with pytest.raises(NonFiniteValue) as exc:
             fit(DesignMatrix(table, labels, y, cell_index=index))
         assert (exc.value.name, exc.value.row) == ("y", 3)
+
+    def test_a_running_sum_that_overflows_part_way_fits(self):
+        # 1e308 + 1e308 overflows, but the pattern's sum, 1e308, does not:
+        # the pattern is summed about one of its rows, rescaled when the
+        # squares overflow, so its mean does not depend on the row order.
+        table = np.array([[1.0, 0.0], [1.0, 1.0]])
+        labels = simple_labels(["(i)", "d"])
+        y = np.array([1e308, 1e308, -1e308, 1.0, 2.0, 3.0])
+        for rows in ([0, 1, 2, 3, 4, 5], [2, 0, 1, 5, 3, 4]):
+            result = fit(DesignMatrix(table, labels, y[rows],
+                                      cell_index=np.array([0, 0, 0, 1, 1, 1])))
+            assert result.coefficients[0] == pytest.approx(1e308 / 3, rel=1e-15)
+            assert np.isfinite(result.sigma)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_a_response_value_is_named_on_its_own_row(self, bad):
@@ -1079,9 +1092,7 @@ class TestRelations:
     @settings(max_examples=100, deadline=None)
     @given(relation_cases())
     def test_small_blocks_keep_the_fit(self, case):
-        # Every row pass and the pattern QR take 7 rows at a time. The
-        # statistics are read inside the patch, since their pass runs on
-        # first read.
+        # Every row pass and the pattern QR take 7 rows at a time.
         data, ast, scheme = case
         base = fit(build_design(ast, data, scheme))
         with mock.patch.object(encode, "_ROW_BLOCK", 7), \
@@ -1114,6 +1125,34 @@ class TestRelations:
             re.sub(r"(\w+)\[([^]]*)\]",
                    lambda m: f"{m[1]}[{rename.get((m[1], m[2]), m[2])}]", label.text)
             for label in base.labels]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_a_small_reader_chunk_keeps_the_fit(self, chunk):
+        # A survey CSV read a few characters at a time: every line is a
+        # chunk of its own at 1 and 7, so levels first appear in later
+        # chunks, a missing cell drops its row in any chunk, and each
+        # numeric column grows past its first chunk's rows.
+        rng = np.random.default_rng(chunk)
+        n = 300
+        edu = rng.choice(["primary", "secondary", "tertiary", "NA"], n,
+                         p=[.3, .3, .3, .1])
+        edu[:3] = ["secondary", "tertiary", "primary"]
+        lines = [f"{b!r},{f},{e},{a}" for b, f, e, a in zip(
+            rng.normal(25.0, 3.0, n).tolist(), rng.integers(0, 2, n).tolist(), edu,
+            rng.integers(18, 81, n).tolist())]
+        text = "bmi,female,edu,age\n" + "\n".join(lines) + "\n"
+        ast = parse_formula("bmi ~ female*edu + center(log(age), at=log(18))")
+
+        def fit_of(data):
+            kept = listwise_delete(data, [ast.response, *ast.variables()])
+            return fit(build_design(ast, kept))
+
+        base = fit_of(read_csv_text(text))
+        with mock.patch.object(dataset, "_CHUNK_CHARS", chunk):
+            result = fit_of(read_csv_text(text))
+        assert [label.text for label in result.labels] == [
+            label.text for label in base.labels]
+        assert_same_fit(result, base)
 
 
 class TestPValues:
@@ -1168,12 +1207,14 @@ class TestOneTailed:
 def _fake_fit(estimate: float, noise: float = 1.0) -> FitResult:
     """Coefficients (10, estimate), each with SE `noise` at df 10: a
     12-row, two-column design, an identity R, and y = 10 + estimate * b
-    + e, with e = +-noise on 10 rows and 0 on 2, so RSS is 10 noise^2."""
+    + e, with e = +-noise on 10 rows and 0 on 2, so RSS is 10 noise^2,
+    the square of r[p, p], the residual norm of the design's rows."""
     b = np.arange(12) % 2
     e = noise * np.array([1.0, -1.0] * 5 + [0.0, 0.0])
     design = DesignMatrix(np.column_stack([np.ones(12), b]), simple_labels(["a", "b"]),
                           10.0 + estimate * b + e)
-    return FitResult(design, [[1.0, 0.0, 10.0], [0.0, 1.0, estimate], [0.0, 0.0, 0.0]])
+    return FitResult(design, [[1.0, 0.0, 10.0], [0.0, 1.0, estimate],
+                              [0.0, 0.0, math.sqrt(10.0) * noise]])
 
 
 class TestLinearCombination:
